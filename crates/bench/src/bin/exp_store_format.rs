@@ -1,15 +1,14 @@
-//! E22: legacy JSON blob vs journaled observation store at campaign scale.
+//! E22: the journaled observation store at campaign scale.
 //!
-//! Persists a synthetic trie of ≥100k completed queries through both cache
-//! backends, times the save and warm-load halves of each, and asserts the
-//! journal warm load is at least 5× faster than the JSON parse while
-//! replaying a bit-identical trie.  A churned second store demonstrates
+//! Persists a synthetic trie of 120k completed queries through the
+//! journaled store, times the save and warm-load halves, and asserts the
+//! load replays a bit-identical trie.  A churned second store demonstrates
 //! that compaction reclaims superseded records without changing the
 //! replay.  While it grinds, a one-line status repaints per stage, driven
 //! by `bench:stage` events through the shared event sink (TTY only).
 //! Appends the `store_format` scenario to `BENCH_learning.json` (in the
 //! current directory).  Pass `--quick` for the reduced CI smoke
-//! configuration (20k observations, no speedup floor).
+//! configuration (20k observations).
 use prognosis_campaign::{Progress, ProgressSink};
 use prognosis_events::EventSink;
 use std::sync::Arc;

@@ -589,7 +589,7 @@ pub struct WarmStartSummary {
 ///
 /// Runs the same TCP learning configuration twice against a
 /// [`LearnConfig::cache_path`]: the cold run pays the full SUL cost and
-/// persists its observations ([`prognosis_learner::cache::CacheStore`]);
+/// persists its observations ([`prognosis_learner::journal::JournalStore`]);
 /// the warm run answers every membership query from disk, issuing **zero
 /// fresh SUL symbols** while learning a bit-identical model.  A 4-worker
 /// warm run checks that the cache is worker-count independent.  The
@@ -598,7 +598,7 @@ pub struct WarmStartSummary {
 /// warm-start smoke test (`exp_warm_start` binary).
 pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
     let cache_path = std::env::temp_dir().join(format!(
-        "prognosis-warm-start-bench-{}.json",
+        "prognosis-warm-start-bench-{}.journal",
         std::process::id()
     ));
     let cache_path_str = cache_path.to_string_lossy().into_owned();
@@ -2621,18 +2621,15 @@ fn store_bench_trie(
     trie
 }
 
-/// E22 — JSON blob vs journaled observation store at campaign scale.
+/// E22 — the journaled observation store at campaign scale.
 ///
-/// Builds a synthetic trie of ≥100k distinct completed queries (20k in
-/// `--quick` mode), persists it through both backends — the legacy v2
-/// JSON blob ([`prognosis_learner::cache::CacheStore`]) and the journaled
-/// store ([`prognosis_learner::journal::JournalStore`]) — and times the
-/// save and warm-load halves of each, asserting the two loads replay
-/// bit-identical tries.  The full-size run asserts the journal warm load
-/// is at least 5× faster than the JSON parse.  A second, churned store
-/// (each word appended as a short prefix first, then extended) then
-/// demonstrates threshold compaction: `compact()` must shrink the file
-/// while replaying to the identical trie.
+/// Builds a synthetic trie of 120k distinct completed queries (20k in
+/// `--quick` mode), persists it through the journaled store
+/// ([`prognosis_learner::journal::JournalStore`]) and times the save and
+/// warm-load halves, asserting the load replays a bit-identical trie.  A
+/// second, churned store (each word appended as a short prefix first,
+/// then extended) then demonstrates threshold compaction: `compact()` must
+/// shrink the file while replaying to the identical trie.
 pub fn exp_store_format(quick: bool) -> (Report, serde_json::Value) {
     exp_store_format_with_events(quick, None)
 }
@@ -2643,7 +2640,7 @@ pub fn exp_store_format_with_events(
     quick: bool,
     events: Option<Arc<dyn EventSink>>,
 ) -> (Report, serde_json::Value) {
-    use prognosis_learner::cache::{CacheStore, StoreKey};
+    use prognosis_learner::cache::StoreKey;
     use prognosis_learner::journal::{JournalStore, RetainPolicy};
 
     stage(&events, "E22 store format: building synthetic trie");
@@ -2656,28 +2653,12 @@ pub fn exp_store_format_with_events(
     assert_eq!(observations, n as u64, "every enumerated word is distinct");
 
     let tag = std::process::id();
-    let json_path = std::env::temp_dir().join(format!("prognosis-store-bench-{tag}.json"));
     let journal_path = std::env::temp_dir().join(format!("prognosis-store-bench-{tag}.journal"));
     let churn_path = std::env::temp_dir().join(format!("prognosis-store-bench-{tag}.churn"));
-    for path in [&json_path, &journal_path, &churn_path] {
+    let scratch = [&journal_path, &churn_path];
+    for path in scratch {
         let _ = std::fs::remove_file(path);
     }
-
-    // Legacy v2 JSON blob: serialize + fsync + rename on save, full-file
-    // parse on load.
-    stage(&events, "E22 store format: JSON blob save/load");
-    let start = std::time::Instant::now();
-    CacheStore::new("store-bench", &alphabet, trie.clone())
-        .save(&json_path)
-        .expect("JSON save succeeds");
-    let json_save_seconds = start.elapsed().as_secs_f64();
-    let json_bytes = std::fs::metadata(&json_path)
-        .expect("JSON store exists")
-        .len();
-    let start = std::time::Instant::now();
-    let json_loaded = CacheStore::load_matching(&json_path, "store-bench", &alphabet)
-        .expect("JSON warm load hits");
-    let json_load_seconds = start.elapsed().as_secs_f64();
 
     // Journaled store: framed binary records, replayed on load.
     stage(&events, "E22 store format: journal save/load");
@@ -2695,24 +2676,10 @@ pub fn exp_store_format_with_events(
     let journal_load_seconds = start.elapsed().as_secs_f64();
 
     assert_eq!(
-        json_loaded.paths(),
-        trie.paths(),
-        "the JSON store must replay the saved observations bit-identically"
-    );
-    assert_eq!(
         journal_loaded.paths(),
         trie.paths(),
         "the journal must replay the saved observations bit-identically"
     );
-    let warm_load_speedup = json_load_seconds / journal_load_seconds.max(1e-9);
-    if !quick {
-        assert!(
-            warm_load_speedup >= 5.0,
-            "journal warm load must be at least 5x faster than the JSON parse \
-             at {n} observations (json {json_load_seconds:.3}s / journal \
-             {journal_load_seconds:.3}s = {warm_load_speedup:.1}x)"
-        );
-    }
 
     // Compaction: append each word as a 3-symbol non-terminal prefix
     // first, then as the full query — every short record is superseded, so
@@ -2757,27 +2724,21 @@ pub fn exp_store_format_with_events(
         "the compacted store replays exactly the live (full-length) queries"
     );
 
-    for path in [&json_path, &journal_path, &churn_path] {
+    for path in scratch {
         let _ = std::fs::remove_file(path);
+        let mut sidecar = path.as_os_str().to_owned();
+        sidecar.push(".lock");
+        let _ = std::fs::remove_file(sidecar);
     }
 
-    let mut report =
-        Report::new("E22 — observation store formats: legacy JSON blob vs journaled segment log");
+    let mut report = Report::new("E22 — journaled observation store: save, warm load, compaction");
     report
         .row("observations (completed queries)", observations.to_string())
-        .row(
-            "JSON blob: save / load / size",
-            format!("{json_save_seconds:.3}s / {json_load_seconds:.3}s / {json_bytes} B"),
-        )
         .row(
             "journal: save / load / size",
             format!("{journal_save_seconds:.3}s / {journal_load_seconds:.3}s / {journal_bytes} B"),
         )
-        .row(
-            "warm-load speedup (JSON / journal)",
-            format!("{warm_load_speedup:.1}x"),
-        )
-        .row("loads bit-identical", "yes".to_string())
+        .row("load bit-identical", "yes".to_string())
         .row(
             "compaction: bytes / records",
             format!(
@@ -2789,29 +2750,27 @@ pub fn exp_store_format_with_events(
             ),
         );
 
-    let backend_json = |save: f64, load: f64, bytes: u64| {
-        serde_json::Value::Map(vec![
-            ("save_seconds".to_string(), serde_json::Value::F64(save)),
-            ("load_seconds".to_string(), serde_json::Value::F64(load)),
-            ("file_bytes".to_string(), serde_json::Value::U64(bytes)),
-        ])
-    };
     let scenario = serde_json::Value::Map(vec![
         (
             "observations".to_string(),
             serde_json::Value::U64(observations),
         ),
         (
-            "json".to_string(),
-            backend_json(json_save_seconds, json_load_seconds, json_bytes),
-        ),
-        (
             "journal".to_string(),
-            backend_json(journal_save_seconds, journal_load_seconds, journal_bytes),
-        ),
-        (
-            "warm_load_speedup".to_string(),
-            serde_json::Value::F64(warm_load_speedup),
+            serde_json::Value::Map(vec![
+                (
+                    "save_seconds".to_string(),
+                    serde_json::Value::F64(journal_save_seconds),
+                ),
+                (
+                    "load_seconds".to_string(),
+                    serde_json::Value::F64(journal_load_seconds),
+                ),
+                (
+                    "file_bytes".to_string(),
+                    serde_json::Value::U64(journal_bytes),
+                ),
+            ]),
         ),
         (
             "loads_bit_identical".to_string(),

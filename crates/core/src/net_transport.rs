@@ -227,7 +227,7 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
                     outbox = later;
                     for (_, reply_port, wire) in due {
                         // Replying to a spoofed source port (the Issue-3
-                        // defect) has no route; the capture records it lost.
+                        // defect) has no route: the reply is lost.
                         let _ = net.send_from_port(self.server, self.server_port, reply_port, wire);
                         progressed = true;
                     }
@@ -751,7 +751,7 @@ mod tests {
     fn asymmetric_links_apply_per_direction() {
         // Requests cross an ideal uplink; responses pay 400µs downlink
         // latency.  Answers match the in-process path, the virtual time is
-        // downlink-only, and the capture shows every request delivered.
+        // downlink-only.
         let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), LinkConfig::ideal())
             .with_reverse_link(LinkConfig::with_latency(SimDuration::from_micros(400)));
         assert_eq!(factory.link().latency, SimDuration::ZERO);
@@ -777,43 +777,41 @@ mod tests {
 
     #[test]
     fn reverse_only_loss_times_out_after_the_server_was_reached() {
-        use prognosis_netsim::capture::Fate;
+        use prognosis_events::{MemorySink, ScopedSink};
         // Uplink ideal, downlink drops everything: every step resolves to
-        // the timeout symbol, yet the capture shows the requests were
+        // the timeout symbol, yet the wire events show the requests were
         // *delivered* — the loss is genuinely direction-specific.
         let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), LinkConfig::ideal())
             .with_reverse_link(LinkConfig::ideal().loss(1.0));
         let word = InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]);
         let (sessions, clock) = factory.create_worker_sessions(1);
-        let (client_port, server_port) = (sessions[0].client_port(), sessions[0].server_port());
-        let net = Arc::clone(sessions[0].network());
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let events = Arc::new(MemorySink::new());
+        let sink = ScopedSink::new(events.clone(), false);
+        let mut scheduler =
+            SessionScheduler::with_clock(sessions, clock).with_event_sink(sink.clone());
         scheduler.submit(0, word.clone(), QueryPhase::Construction);
         let done = scheduler.run_to_idle();
         let expected: OutputWord = word.iter().map(|_| Symbol::new("NIL")).collect();
         assert_eq!(done[0].1, expected, "lost responses must time out");
-        let guard = net.lock().unwrap();
-        let to_server: Vec<Fate> = guard
-            .capture()
-            .records()
-            .iter()
-            .filter(|r| r.destination_port == server_port)
-            .map(|r| r.fate)
-            .collect();
-        let to_client: Vec<Fate> = guard
-            .capture()
-            .records()
-            .iter()
-            .filter(|r| r.destination_port == client_port)
-            .map(|r| r.fate)
-            .collect();
+        sink.commit(0);
+        let log = events.contents();
+        let count = |name: &str, dir: &str| {
+            log.lines()
+                .filter(|line| {
+                    line.contains(&format!("\"name\":\"wire:{name}\""))
+                        && line.contains(&format!("\"dir\":\"{dir}\""))
+                })
+                .count()
+        };
+        let requests = count("send", "up");
         assert!(
-            !to_server.is_empty() && to_server.iter().all(|f| *f == Fate::Delivered),
-            "uplink must deliver every request: {to_server:?}"
+            requests > 0 && count("deliver", "up") == requests && count("drop", "up") == 0,
+            "uplink must deliver every request: {log}"
         );
+        let responses = count("send", "down");
         assert!(
-            !to_client.is_empty() && to_client.iter().all(|f| *f == Fate::Lost),
-            "downlink must lose every response: {to_client:?}"
+            responses > 0 && count("drop", "down") == responses && count("deliver", "down") == 0,
+            "downlink must lose every response: {log}"
         );
     }
 

@@ -3,8 +3,8 @@
 //! learner — async sift probes, interleaved phases, speculative equivalence
 //! streaming — must build a **bit-identical** discrimination tree and model
 //! to serial sifting, with `membership_queries` no greater than serial and
-//! exact speculation-word accounting, including warm starts against a PR-2
-//! `CacheStore` file.
+//! exact speculation-word accounting, including warm starts against a
+//! persisted observation store.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::mealy::MealyMachine;

@@ -91,8 +91,8 @@ mod warm_start_grid {
             .into_owned()
     }
 
-    /// Seeds the cache file exactly once (the PR-2 `CacheStore` format) and
-    /// returns the cold model every warm shape must reproduce.
+    /// Seeds the observation store exactly once and returns the cold model
+    /// every warm shape must reproduce.
     fn cold_seeded() -> &'static LearnedModel {
         static COLD: OnceLock<LearnedModel> = OnceLock::new();
         COLD.get_or_init(|| {

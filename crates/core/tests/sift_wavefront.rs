@@ -3,7 +3,7 @@
 //! must build a **bit-identical** discrimination tree and model to serial
 //! sifting, with `membership_queries` / `fresh_symbols` no greater than
 //! serial (batch dedup may make them smaller — the direction is asserted),
-//! including warm starts against a PR-2 `CacheStore` file.
+//! including warm starts against a persisted observation store.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::mealy::MealyMachine;

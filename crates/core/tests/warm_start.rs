@@ -8,6 +8,8 @@ use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig};
 use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul};
 use prognosis_core::sul::Sul;
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
+use prognosis_learner::cache::alphabet_hash;
+use prognosis_learner::journal::JOURNAL_MAGIC;
 use prognosis_quic_sim::profile::ImplementationProfile;
 
 fn tmp_cache(name: &str) -> String {
@@ -142,6 +144,45 @@ fn warm_start_can_be_disabled_while_still_persisting() {
     let mut sul3 = TcpSul::with_defaults();
     let third = learn_model(&mut sul3, &tcp_alphabet(), config.clone());
     assert_eq!(third.stats.fresh_symbols, 0);
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// An old v2 JSON cache file at the cache path — here one keyed exactly
+/// for this run but recording a bogus answer — is a sound cold-start miss:
+/// the run learns what a run without the file learns, and its save
+/// replaces the file with a journal.
+#[test]
+fn json_cache_file_is_a_cold_start_miss_replaced_by_a_journal() {
+    let cache = tmp_cache("json-file");
+    let alphabet = tcp_alphabet();
+    let sul_id = TcpSul::with_defaults()
+        .cache_key()
+        .expect("the TCP adapter is cacheable");
+    let symbols: Vec<String> = alphabet
+        .iter()
+        .map(|s| format!("{:?}", s.as_str()))
+        .collect();
+    let json = format!(
+        r#"{{"version":2,"sul_id":{sul_id:?},"impl_version":"","alphabet":[{}],"alphabet_hash":{},"trie":[[[{}],["BOGUS"],true]]}}"#,
+        symbols.join(","),
+        alphabet_hash(&alphabet),
+        symbols[0],
+    );
+    std::fs::write(&cache, json).unwrap();
+    let config = small_config(&cache);
+    let from_json = learn_model(&mut TcpSul::with_defaults(), &alphabet, config.clone());
+    assert!(
+        std::fs::read(&cache).unwrap().starts_with(JOURNAL_MAGIC),
+        "the first save replaces the JSON file with a journal"
+    );
+
+    let _ = std::fs::remove_file(&cache);
+    let cold = learn_model(&mut TcpSul::with_defaults(), &alphabet, config);
+    assert_eq!(from_json.model, cold.model);
+    assert_eq!(
+        from_json.stats.fresh_symbols, cold.stats.fresh_symbols,
+        "nothing may be answered from the JSON file"
+    );
     let _ = std::fs::remove_file(&cache);
 }
 

@@ -21,7 +21,6 @@ fn usage() -> ExitCode {
 fn format_name(format: StoreFormat) -> &'static str {
     match format {
         StoreFormat::Journal => "journal",
-        StoreFormat::LegacyJson => "legacy-json",
         StoreFormat::Absent => "absent",
     }
 }

@@ -1,14 +1,13 @@
-//! The journaled observation store: an append-only binary segment log
-//! replacing the load-merge-rewrite JSON blob for cross-run persistence.
+//! The journaled observation store: an append-only binary segment log,
+//! the one on-disk format for cross-run persistence.
 //!
 //! The paper's workloads re-learn the same protocol implementations over
 //! and over; at campaign scale the observation cache holds hundreds of
-//! thousands of `(input, output, terminal)` paths and the JSON store's
-//! parse/serialize cost dominates warm start.  A [`JournalStore`] keeps
-//! the same key discipline — entries keyed by `(SUL id, implementation
-//! version, alphabet hash)` — but persists *deltas*: a save appends only
-//! the paths the file does not already cover, framed in a compact binary
-//! record format, instead of rewriting the whole document.
+//! thousands of `(input, output, terminal)` paths.  A [`JournalStore`]
+//! keys its entries by `(SUL id, implementation version, alphabet hash)`
+//! ([`StoreKey`]) and persists *deltas*: a save appends only the paths the
+//! file does not already cover, framed in a compact binary record format,
+//! instead of rewriting the whole document.
 //!
 //! # File layout
 //!
@@ -48,26 +47,26 @@
 //!
 //! # Concurrency and determinism
 //!
-//! All mutation happens under the per-path process-wide writer lock the
-//! JSON store already used, and every mutating call re-syncs from the file
-//! first (tail replay when it grew, full replay when it was compacted or
-//! replaced), so many in-process handles — one per campaign task — append
-//! deltas without a load-merge-rewrite critical section and without losing
-//! each other's observations.  Readers clone `Arc` snapshots; a warm
-//! snapshot is shared, never copied.  Replayed tries depend only on file
-//! content, so warm-started learns stay bit-identical to cold ones.
+//! All mutation happens under the path's exclusive writer lock (an OS
+//! file lock on a `<store>.lock` sidecar, so it holds across processes as
+//! well as threads), and every mutating call re-syncs from the file first
+//! (tail replay when it grew, full replay when it was compacted or
+//! replaced).  Many handles — one per campaign task, or one per process
+//! sharing a store — append deltas without a load-merge-rewrite critical
+//! section and without losing each other's observations.  Readers take no
+//! lock and clone `Arc` snapshots; a warm snapshot is shared, never
+//! copied.  Replayed tries depend only on file content, so warm-started
+//! learns stay bit-identical to cold ones.
 //!
-//! # Migration
+//! # Foreign files
 //!
-//! [`JournalStore::open`] sniffs the magic bytes.  A legacy v2 JSON file —
-//! single-entry [`CacheStore`] or multi-entry [`SharedCacheStore`] — loads
-//! as a sound one-shot migration source: pure reads never touch the file,
-//! and the first write rewrites it in journal format.
+//! [`JournalStore::open`] sniffs the magic bytes.  A file without them —
+//! an old JSON cache, a corrupt or unrelated file — loads as an empty
+//! store: a sound cold-start miss, since a cache must only ever accelerate
+//! a run.  Pure reads never touch it, the first save replaces it with a
+//! journal, and [`JournalStore::verify`] reports it as not a journal.
 
-use crate::cache::{
-    atomic_write_durable, hold_path_lock, path_write_lock, CacheError, CacheStore,
-    SharedCacheStore, StoreKey,
-};
+use crate::cache::{atomic_write_durable, CacheError, PathLock, StoreKey};
 use crate::trie::{PathCoverage, PrefixTrie};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -228,13 +227,10 @@ fn decode_record(
 /// Where the bytes behind a store's in-memory state came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreFormat {
-    /// A binary journal (this module's native format).
+    /// A binary journal (this module's only format).
     Journal,
-    /// A legacy v2 JSON file ([`CacheStore`] or [`SharedCacheStore`]) read
-    /// as a migration source; the first write rewrites it as a journal.
-    LegacyJson,
-    /// No file (or an unreadable one — treated as absent, the universal
-    /// "a cache must only ever accelerate" rule).
+    /// No file, or one that is not a journal — treated as absent, the
+    /// universal "a cache must only ever accelerate" rule.
     Absent,
 }
 
@@ -387,7 +383,7 @@ pub struct JournalStats {
     pub format: StoreFormat,
     /// File size in bytes (0 when absent).
     pub file_bytes: u64,
-    /// Record frames in the journal (0 for JSON/absent sources).
+    /// Record frames in the journal (0 when absent).
     pub record_frames: usize,
     /// Live maximal paths across all entries — what a fresh compaction
     /// would write.
@@ -401,7 +397,7 @@ pub struct JournalStats {
 pub struct VerifyReport {
     /// The on-disk format the file was read as.
     pub format: StoreFormat,
-    /// Bytes of well-formed frames (journal sources only).
+    /// Bytes of well-formed frames (0 when absent).
     pub sound_bytes: u64,
     /// Bytes past the last good frame — a torn tail from an interrupted
     /// append (0 for a clean file).
@@ -438,27 +434,23 @@ pub struct CompactOutcome {
 
 /// A handle on a journaled observation store at one path.  Cheap to open
 /// (one replay), cheap to read (snapshots are shared `Arc`s), and safe to
-/// hold many of in one process: every mutation re-syncs from the file
-/// under the path's process-wide writer lock before appending its delta.
+/// hold many of, in one process or several: every mutation re-syncs from
+/// the file under the path's writer lock before appending its delta.
 pub struct JournalStore {
     path: PathBuf,
-    lock: Arc<Mutex<()>>,
     state: Mutex<State>,
 }
 
 impl JournalStore {
-    /// Opens the store at `path`, replaying the journal (or reading a
-    /// legacy JSON file as a migration source).  A missing file is an
-    /// empty store; a corrupt journal loads its sound prefix.  Pure loads
-    /// never modify the file.
+    /// Opens the store at `path`, replaying the journal.  A missing file
+    /// or one that is not a journal is an empty store; a corrupt journal
+    /// loads its sound prefix.  Pure loads never modify the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheError> {
         let path = path.as_ref().to_path_buf();
-        let lock = path_write_lock(&path);
         let mut state = State::empty();
         read_into(&mut state, &path)?;
         Ok(JournalStore {
             path,
-            lock,
             state: Mutex::new(state),
         })
     }
@@ -468,7 +460,6 @@ impl JournalStore {
     pub fn open_or_empty(path: impl AsRef<Path>) -> Self {
         let path = path.as_ref().to_path_buf();
         JournalStore::open(&path).unwrap_or_else(|_| JournalStore {
-            lock: path_write_lock(&path),
             path,
             state: Mutex::new(State::empty()),
         })
@@ -518,23 +509,23 @@ impl JournalStore {
     /// store does not cover yet.  An up-to-date store costs zero writes.
     ///
     /// Falls back to a full (atomic, durable) rewrite when appending
-    /// can't express the change: a contradictory existing entry is
-    /// replaced wholesale by the live trie (same stale-cache policy as the
-    /// JSON store), [`RetainPolicy::OnlyThisKey`] drops other keys, a
-    /// legacy JSON or absent file is written out in journal format, and a
-    /// journal past its compaction threshold is compacted on the way out.
+    /// can't express the change: a contradictory existing entry (a stale
+    /// cache from before the implementation changed behaviour) is replaced
+    /// wholesale by the live trie, [`RetainPolicy::OnlyThisKey`] drops
+    /// other keys, an absent or foreign file is written out as a journal,
+    /// and a journal past its compaction threshold is compacted on the way
+    /// out.
     ///
-    /// The whole resync-merge-append runs under the path's process-wide
-    /// writer lock, so concurrent savers through any number of handles
-    /// leave the union of their observations on disk.
+    /// The whole resync-merge-append runs under the path's writer lock, so
+    /// concurrent savers through any number of handles, in any number of
+    /// processes, leave the union of their observations on disk.
     pub fn save_merged(
         &self,
         key: &StoreKey,
         trie: &PrefixTrie,
         retain: RetainPolicy,
     ) -> Result<(), CacheError> {
-        let lock = Arc::clone(&self.lock);
-        let _guard = hold_path_lock(&lock);
+        let _lock = PathLock::acquire(&self.path)?;
         let mut state = self.state.lock().expect("journal state poisoned");
         resync(&mut state, &self.path)?;
 
@@ -638,8 +629,8 @@ impl JournalStore {
         Ok(())
     }
 
-    /// One-shot persistence write: open, merge, save.  The single-run
-    /// pipeline's replacement for `CacheStore::save_merged`.
+    /// One-shot persistence write: open, merge, save — the single-run
+    /// pipeline's persistence path.
     pub fn save_merged_at(
         path: impl AsRef<Path>,
         key: &StoreKey,
@@ -652,8 +643,7 @@ impl JournalStore {
     /// Rewrites the store as one segment per key holding only live paths,
     /// regardless of thresholds.  Returns the before/after sizes.
     pub fn compact(&self) -> Result<CompactOutcome, CacheError> {
-        let lock = Arc::clone(&self.lock);
-        let _guard = hold_path_lock(&lock);
+        let _lock = PathLock::acquire(&self.path)?;
         let mut state = self.state.lock().expect("journal state poisoned");
         resync(&mut state, &self.path)?;
         let before_bytes = state.synced_len;
@@ -690,6 +680,7 @@ impl JournalStore {
 
     /// Integrity-checks the file at `path` without modifying it: frame
     /// checksums, torn tail, replay contradictions, key-hash consistency.
+    /// A file that is not a journal is a [`CacheError::Format`] error.
     pub fn verify(path: impl AsRef<Path>) -> Result<VerifyReport, CacheError> {
         let path = path.as_ref();
         let bytes = match std::fs::read(path) {
@@ -706,22 +697,9 @@ impl JournalStore {
             Err(e) => return Err(e.into()),
         };
         if !bytes.starts_with(JOURNAL_MAGIC) {
-            // Legacy JSON: soundness is just "does it parse".
-            let text = String::from_utf8(bytes)
-                .map_err(|_| CacheError::Format("neither a journal nor UTF-8 JSON".into()))?;
-            let entries = parse_legacy_json(&text)?;
-            let inconsistent_keys = entries
-                .keys()
-                .filter(|k| !k.hash_consistent())
-                .cloned()
-                .collect();
-            return Ok(VerifyReport {
-                format: StoreFormat::LegacyJson,
-                sound_bytes: text.len() as u64,
-                torn_bytes: 0,
-                contradictions: 0,
-                inconsistent_keys,
-            });
+            return Err(CacheError::Format(
+                "not a journal (no PGNJRNL1 magic)".into(),
+            ));
         }
         let mut replay = ReplayState::empty();
         let good_len = replay.replay_frames(&bytes, JOURNAL_MAGIC.len());
@@ -741,36 +719,8 @@ impl JournalStore {
     }
 }
 
-/// Parses a legacy v2 JSON file — multi-entry first, then single-entry —
-/// into keyed tries.
-fn parse_legacy_json(text: &str) -> Result<BTreeMap<StoreKey, Arc<PrefixTrie>>, CacheError> {
-    let mut entries = BTreeMap::new();
-    match serde_json::from_str::<SharedCacheStore>(text) {
-        Ok(shared) if !shared.is_empty() => {
-            for entry in shared.entries() {
-                entries.insert(entry.store_key(), Arc::new(entry.trie().clone()));
-            }
-            return Ok(entries);
-        }
-        Ok(_) => {
-            // Parsed but empty: either a genuinely empty shared store or a
-            // lenient parse of a single-entry file — prefer the latter
-            // reading when it fits.
-            if let Ok(single) = serde_json::from_str::<CacheStore>(text) {
-                entries.insert(single.store_key(), Arc::new(single.trie().clone()));
-            }
-            return Ok(entries);
-        }
-        Err(_) => {}
-    }
-    let single: CacheStore =
-        serde_json::from_str(text).map_err(|e| CacheError::Format(e.to_string()))?;
-    entries.insert(single.store_key(), Arc::new(single.trie().clone()));
-    Ok(entries)
-}
-
-/// Reads the file at `path` into `state` (full replay / JSON migration
-/// read).  A missing file leaves the state empty.
+/// Reads the file at `path` into `state` (full replay).  A missing file,
+/// or one that is not a journal, leaves the state empty.
 fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
@@ -780,42 +730,29 @@ fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
         }
         Err(e) => return Err(e.into()),
     };
-    if bytes.starts_with(JOURNAL_MAGIC) {
-        let mut replay = ReplayState::empty();
-        let good_len = replay.replay_frames(&bytes, JOURNAL_MAGIC.len());
-        *state = State {
-            entries: replay.entries,
-            synced_len: good_len as u64,
-            record_frames: replay.record_frames,
-            last_header_key: replay.last_header_key,
-            source: StoreFormat::Journal,
-        };
+    if !bytes.starts_with(JOURNAL_MAGIC) {
+        // Not a journal — an old JSON cache, corrupt beyond its magic,
+        // hand-edited, whatever: it loads as empty and is *replaced* by
+        // the first write.  A cache only ever accelerates.
+        *state = State::empty();
         return Ok(());
     }
-    // Not a journal: read it as legacy JSON.  A file that is neither —
-    // corrupt beyond its magic, hand-edited, whatever — loads as empty
-    // and is *replaced* by the first write, the same policy the JSON
-    // store applied to unreadable files: a cache only ever accelerates.
-    let parsed = String::from_utf8(bytes)
-        .ok()
-        .and_then(|text| parse_legacy_json(&text).ok().map(|e| (e, text.len())));
-    *state = match parsed {
-        Some((entries, len)) => State {
-            entries,
-            synced_len: len as u64,
-            record_frames: 0,
-            last_header_key: None,
-            source: StoreFormat::LegacyJson,
-        },
-        None => State::empty(),
+    let mut replay = ReplayState::empty();
+    let good_len = replay.replay_frames(&bytes, JOURNAL_MAGIC.len());
+    *state = State {
+        entries: replay.entries,
+        synced_len: good_len as u64,
+        record_frames: replay.record_frames,
+        last_header_key: replay.last_header_key,
+        source: StoreFormat::Journal,
     };
     Ok(())
 }
 
 /// Brings `state` up to date with the file before a mutation.  Same
 /// length and source ⇒ already synced; a grown journal gets a cheap tail
-/// replay from the synced offset; anything else (shrunk, replaced,
-/// migrated) gets a full re-read.
+/// replay from the synced offset; anything else (shrunk, replaced) gets a
+/// full re-read.
 fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
     let file_len = match std::fs::metadata(path) {
         Ok(meta) => meta.len(),
@@ -831,7 +768,7 @@ fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
     if state.source == StoreFormat::Journal && file_len > state.synced_len {
         // The journal grew (another handle appended): replay just the
         // tail.  Frame boundaries are stable because every writer appends
-        // at its synced offset under the same path lock.
+        // at its synced offset under the same writer lock.
         let bytes = std::fs::read(path)?;
         if bytes.starts_with(JOURNAL_MAGIC) && bytes.len() as u64 == file_len {
             let mut replay = ReplayState {
@@ -873,7 +810,7 @@ fn append_durable(path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CacheErr
 
 /// Serializes the state's entries as a fresh journal — one segment per
 /// key, one record per live path — and atomically, durably swaps it in.
-/// This is both the compaction path and the migration/rewrite path.
+/// This is both the compaction path and the key-replacement path.
 fn rewrite(state: &mut State, path: &Path) -> Result<(), CacheError> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(JOURNAL_MAGIC);
@@ -929,14 +866,48 @@ mod tests {
     fn save_and_reload_round_trips_the_trie() {
         let alphabet = Alphabet::from_symbols(["a", "b"]);
         let path = tmp_path("roundtrip.journal");
-        std::fs::remove_file(&path).ok();
         let k = key(&alphabet);
-        JournalStore::save_merged_at(&path, &k, &sample_trie(), RetainPolicy::OnlyThisKey).unwrap();
-        let loaded = JournalStore::load_matching(&path, &k).unwrap();
-        assert_eq!(loaded.paths(), sample_trie().paths());
-        // A different key misses.
-        let other = StoreKey::new("sul-2", "", &alphabet);
-        assert!(JournalStore::load_matching(&path, &other).is_none());
+        // Whatever the path holds first — nothing, an old JSON cache,
+        // garbage, a future journal version — is an empty store and a
+        // miss, never an error, and the first save replaces it.
+        for before in [
+            None,
+            Some(&br#"{"version":2,"sul_id":"sul-1","entries":[]}"#[..]),
+            Some(&b"{ not json"[..]),
+            Some(&b"PGNJRNL2\x01\x00"[..]),
+        ] {
+            std::fs::remove_file(&path).ok();
+            if let Some(bytes) = before {
+                std::fs::write(&path, bytes).unwrap();
+                assert!(
+                    matches!(JournalStore::verify(&path), Err(CacheError::Format(_))),
+                    "verify reports a foreign file as not a journal"
+                );
+            }
+            let store = JournalStore::open(&path).unwrap();
+            assert_eq!(store.format(), StoreFormat::Absent);
+            assert!(store.snapshot_entries().is_empty());
+            assert!(JournalStore::load_matching(&path, &k).is_none());
+            assert_eq!(
+                std::fs::read(&path).ok().as_deref(),
+                before,
+                "reads never write"
+            );
+            store
+                .save_merged(&k, &sample_trie(), RetainPolicy::OnlyThisKey)
+                .unwrap();
+            assert!(JournalStore::verify(&path).unwrap().is_clean());
+            let loaded = JournalStore::load_matching(&path, &k).unwrap();
+            assert_eq!(loaded.paths(), sample_trie().paths());
+        }
+        // Any other SUL id, implementation version or alphabet misses.
+        for other in [
+            StoreKey::new("sul-2", "", &alphabet),
+            StoreKey::new("sul-1", "v2", &alphabet),
+            StoreKey::new("sul-1", "", &Alphabet::from_symbols(["a", "b", "c"])),
+        ] {
+            assert!(JournalStore::load_matching(&path, &other).is_none());
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1016,11 +987,34 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let k1 = StoreKey::new("sul-1", "v1", &alphabet);
         let k2 = StoreKey::new("sul-1", "v2", &alphabet);
+        // v1 answers a·b → 1·2, v2 answers a·b → 1·9.
+        let mut other = PrefixTrie::new();
+        other.insert(
+            &InputWord::from_symbols(["a", "b"]),
+            &OutputWord::from_symbols(["1", "9"]),
+        );
+        other.mark_terminal(&InputWord::from_symbols(["a", "b"]));
         JournalStore::save_merged_at(&path, &k1, &sample_trie(), RetainPolicy::All).unwrap();
-        JournalStore::save_merged_at(&path, &k2, &sample_trie(), RetainPolicy::All).unwrap();
+        JournalStore::save_merged_at(&path, &k2, &other, RetainPolicy::All).unwrap();
         let store = JournalStore::open(&path).unwrap();
-        assert_eq!(store.snapshot_entries().len(), 2);
+        let entries = store.snapshot_entries();
+        assert_eq!(entries.len(), 2);
+        // The replayed view does not depend on save order.
+        let reversed = tmp_path("retain-all-reversed.journal");
+        std::fs::remove_file(&reversed).ok();
+        JournalStore::save_merged_at(&reversed, &k2, &other, RetainPolicy::All).unwrap();
+        JournalStore::save_merged_at(&reversed, &k1, &sample_trie(), RetainPolicy::All).unwrap();
+        let reversed_entries = JournalStore::open(&reversed).unwrap().snapshot_entries();
+        assert!(entries.keys().eq(reversed_entries.keys()));
+        for (a, b) in entries.values().zip(reversed_entries.values()) {
+            assert_eq!(a.paths(), b.paths());
+        }
+        // Versions of one SUL diff from the store alone.
+        let diffs = entries[&k1].divergences(&entries[&k2], 0);
+        assert_eq!(diffs.len(), 1);
+        assert_eq!(diffs[0].input, InputWord::from_symbols(["a", "b"]));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&reversed).ok();
     }
 
     #[test]
@@ -1043,47 +1037,6 @@ mod tests {
             Some(OutputWord::from_symbols(["9", "2"]))
         );
         assert_eq!(loaded.terminal_words(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_json_files_migrate_on_first_write() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("migrate.json");
-        std::fs::remove_file(&path).ok();
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        let k = key(&alphabet);
-        // Pure read: the legacy file is a warm source and stays JSON.
-        assert!(JournalStore::load_matching(&path, &k).is_some());
-        assert!(!std::fs::read(&path).unwrap().starts_with(JOURNAL_MAGIC));
-        // First write rewrites it as a journal, preserving the entry.
-        let mut grown = sample_trie();
-        grown.insert(
-            &InputWord::from_symbols(["b"]),
-            &OutputWord::from_symbols(["7"]),
-        );
-        grown.mark_terminal(&InputWord::from_symbols(["b"]));
-        JournalStore::save_merged_at(&path, &k, &grown, RetainPolicy::OnlyThisKey).unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(JOURNAL_MAGIC));
-        let loaded = JournalStore::load_matching(&path, &k).unwrap();
-        assert_eq!(loaded.terminal_words(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_shared_json_migrates_all_entries() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("migrate-shared.json");
-        std::fs::remove_file(&path).ok();
-        SharedCacheStore::save_entry_merged(&path, "sul-1", "v1", &alphabet, &sample_trie())
-            .unwrap();
-        SharedCacheStore::save_entry_merged(&path, "sul-1", "v2", &alphabet, &sample_trie())
-            .unwrap();
-        let store = JournalStore::open(&path).unwrap();
-        assert_eq!(store.format(), StoreFormat::LegacyJson);
-        assert_eq!(store.snapshot_entries().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 

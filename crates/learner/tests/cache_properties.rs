@@ -4,9 +4,13 @@
 //! `HashMap`-based reference cache (the seed implementation) on arbitrary
 //! query sequences while never asking the SUL more.
 
+use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::known::random_machine;
 use prognosis_automata::word::{InputWord, OutputWord};
+use prognosis_learner::cache::StoreKey;
+use prognosis_learner::journal::{JournalStore, RetainPolicy};
 use prognosis_learner::oracle::{CacheOracle, MachineOracle, MembershipOracle};
+use prognosis_learner::trie::PrefixTrie;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -74,6 +78,22 @@ fn to_words(
                 .collect()
         })
         .collect()
+}
+
+/// Saves `trie` to a fresh journal and loads it back — the persistence
+/// path a warm start reads.
+fn journal_round_trip(name: &str, trie: &PrefixTrie) -> PrefixTrie {
+    let path = std::env::temp_dir().join(format!(
+        "prognosis-cache-properties-{}-{name}.journal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let key = StoreKey::new("machine", "", &Alphabet::from_symbols(["unused"]));
+    JournalStore::save_merged_at(&path, &key, trie, RetainPolicy::OnlyThisKey)
+        .expect("journal save succeeds");
+    let back = JournalStore::load_matching(&path, &key).expect("journal load hits");
+    let _ = std::fs::remove_file(&path);
+    back
 }
 
 proptest! {
@@ -166,7 +186,7 @@ proptest! {
     }
 
     #[test]
-    fn trie_serde_round_trip_preserves_lookups_terminals_and_entries(
+    fn trie_journal_round_trip_preserves_lookups_terminals_and_entries(
         (states, inputs, outputs, seed) in machine_params(),
         raw_queries in query_sequences(),
     ) {
@@ -175,8 +195,7 @@ proptest! {
         let mut cache = CacheOracle::new(MachineOracle::new(machine));
         cache.query_batch(&words);
         let trie = cache.trie();
-        let json = serde_json::to_string(trie).unwrap();
-        let back: prognosis_learner::trie::PrefixTrie = serde_json::from_str(&json).unwrap();
+        let back = journal_round_trip("round-trip", trie);
         prop_assert_eq!(back.terminal_words(), trie.terminal_words());
         prop_assert_eq!(back.num_nodes(), trie.num_nodes());
         // Lookups agree on every queried word and on every prefix of it.
@@ -202,9 +221,8 @@ proptest! {
         let words = to_words(&machine, &raw_queries);
         let mut cold = CacheOracle::new(MachineOracle::new(machine.clone()));
         let cold_outs = cold.query_batch(&words);
-        // Serialize, reload, and warm-start a fresh oracle from the trie.
-        let json = serde_json::to_string(cold.trie()).unwrap();
-        let trie: prognosis_learner::trie::PrefixTrie = serde_json::from_str(&json).unwrap();
+        // Persist, reload, and warm-start a fresh oracle from the trie.
+        let trie = journal_round_trip("warm", cold.trie());
         let mut warm = CacheOracle::with_trie(MachineOracle::new(machine), trie);
         let warm_outs = warm.query_batch(&words);
         prop_assert_eq!(warm_outs, cold_outs);

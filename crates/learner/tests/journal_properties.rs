@@ -1,9 +1,9 @@
 //! Property and stress tests for the journaled observation store: the
 //! binary record codec round-trips arbitrary consistent path sets, a
 //! journal truncated mid-record (a crash's torn tail) replays to exactly
-//! the records before the tear, and many threads appending through
-//! separate handles to one shared store lose no observations and produce
-//! bit-identical warm tries.
+//! the records before the tear, and many threads — or two processes —
+//! appending through separate handles to one shared store lose no
+//! observations and produce bit-identical warm tries.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -11,6 +11,7 @@ use prognosis_learner::cache::StoreKey;
 use prognosis_learner::journal::{JournalStore, RetainPolicy};
 use prognosis_learner::trie::PrefixTrie;
 use proptest::prelude::*;
+use std::io::{Read, Write};
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -193,6 +194,85 @@ fn eight_thread_shared_store_loses_nothing() {
             "thread {t}'s warm trie must be bit-identical to what it wrote"
         );
     }
+    assert!(JournalStore::verify(&path).unwrap().is_clean());
+    std::fs::remove_file(&path).ok();
+}
+
+/// Set in a child process of [`two_processes_appending_one_store_lose_nothing`]:
+/// `<child index>:<store path>`.
+const CHILD_ENV: &str = "PROGNOSIS_JOURNAL_TEST_CHILD";
+
+/// The words child process `child` appends: all start with its own
+/// symbol, so the two children's paths are disjoint.
+fn child_words(child: usize, rounds: usize) -> Vec<Vec<usize>> {
+    (0..rounds)
+        .map(|r| vec![child, r % 4, (r / 4) % 4, (r / 16) % 4])
+        .collect()
+}
+
+/// Two real processes append disjoint paths under one key to one store at
+/// the same time, one save per word.  The test re-executes its own binary
+/// with [`CHILD_ENV`] set to select the child role; both children wait
+/// for a start byte on stdin, so their appends overlap.  Afterwards a replay
+/// must hold every path from both processes and the journal must verify
+/// clean: the writer lock holds across processes, so neither appends at a
+/// stale offset over the other's records.
+#[test]
+fn two_processes_appending_one_store_lose_nothing() {
+    const ROUNDS: usize = 48;
+    let alphabet = Alphabet::from_symbols(SYMBOLS);
+    let key = StoreKey::new("sul-shared", "v-shared", &alphabet);
+
+    if let Ok(role) = std::env::var(CHILD_ENV) {
+        let (child, path) = role.split_once(':').expect("child role is <index>:<path>");
+        let child: usize = child.parse().expect("child index");
+        std::io::stdin()
+            .read_exact(&mut [0u8; 1])
+            .expect("start byte from the parent");
+        let store = JournalStore::open_or_empty(path);
+        let words = child_words(child, ROUNDS);
+        for n in 1..=words.len() {
+            store
+                .save_merged(&key, &trie_from_words(&words[..n]), RetainPolicy::All)
+                .expect("cross-process append succeeds");
+        }
+        return;
+    }
+
+    let path = tmp_path("two-processes");
+    std::fs::remove_file(&path).ok();
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut children: Vec<_> = (0..2)
+        .map(|child| {
+            std::process::Command::new(&exe)
+                .args([
+                    "two_processes_appending_one_store_lose_nothing",
+                    "--exact",
+                    "--test-threads=1",
+                ])
+                .env(CHILD_ENV, format!("{child}:{}", path.display()))
+                .stdin(std::process::Stdio::piped())
+                .stdout(std::process::Stdio::null())
+                .spawn()
+                .expect("spawn child test process")
+        })
+        .collect();
+    for child in &mut children {
+        let mut start = child.stdin.take().expect("piped stdin");
+        start.write_all(b"g").expect("start the child");
+    }
+    for mut child in children {
+        assert!(child.wait().expect("child exits").success(), "child failed");
+    }
+
+    let mut words = child_words(0, ROUNDS);
+    words.extend(child_words(1, ROUNDS));
+    let replayed = JournalStore::load_matching(&path, &key).expect("the entry survived");
+    assert_eq!(
+        replayed.paths(),
+        trie_from_words(&words).paths(),
+        "every path from both processes must replay"
+    );
     assert!(JournalStore::verify(&path).unwrap().is_clean());
     std::fs::remove_file(&path).ok();
 }

@@ -16,13 +16,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capture;
 pub mod endpoint;
 pub mod link;
 pub mod network;
 pub mod time;
 
-pub use capture::{CaptureRecord, TraceCapture};
 pub use endpoint::{Datagram, Endpoint, EndpointId};
 pub use link::LinkConfig;
 pub use network::Network;

@@ -6,7 +6,6 @@
 //! drive it explicitly — `send`, then `advance`/`deliver_all` — which keeps
 //! the adapter’s query/response loop fully deterministic.
 
-use crate::capture::{CaptureRecord, Fate, TraceCapture};
 use crate::endpoint::{Datagram, Endpoint, EndpointId};
 use crate::link::LinkConfig;
 use crate::time::{SharedClock, SimDuration, SimTime};
@@ -120,7 +119,6 @@ pub struct Network {
     /// every other endpoint's traffic, and can be rewound at query
     /// boundaries so repeated queries meet reproducible weather.
     endpoint_noise: HashMap<EndpointId, NoiseStream>,
-    capture: TraceCapture,
     /// Shared-clock handle the network publishes its virtual time to (so
     /// event-driven schedulers and other networks can share one "now").
     clock: Option<SharedClock>,
@@ -155,7 +153,6 @@ impl Network {
             },
             ephemeral_hint: EPHEMERAL_PORT_MIN,
             endpoint_noise: HashMap::new(),
-            capture: TraceCapture::new(),
             clock: None,
             sink: None,
             wire_scopes: HashMap::new(),
@@ -193,16 +190,6 @@ impl Network {
         if let Some(clock) = &self.clock {
             clock.advance_to(self.now);
         }
-    }
-
-    /// The traffic capture.
-    pub fn capture(&self) -> &TraceCapture {
-        &self.capture
-    }
-
-    /// Clears the traffic capture.
-    pub fn clear_capture(&mut self) {
-        self.capture.clear();
     }
 
     /// Attaches a [`ScopedSink`]: from now on, traffic between endpoints
@@ -465,22 +452,14 @@ impl Network {
     ) -> Result<(), NetworkError> {
         // Validate the sender exists even when spoofing the port.
         let _ = self.endpoint(from)?;
-        let to = self.ports.get(&destination_port).copied();
-        let link = to
-            .and_then(|t| self.links.get(&(from, t)).copied())
-            .unwrap_or(self.default_link);
-        let Some(to) = to else {
-            self.capture.record(CaptureRecord {
-                sent_at: self.now,
-                from,
-                to: None,
-                source_port,
-                destination_port,
-                length: payload.len(),
-                fate: Fate::Lost,
-            });
+        let Some(to) = self.ports.get(&destination_port).copied() else {
             return Err(NetworkError::NoRoute(destination_port));
         };
+        let link = self
+            .links
+            .get(&(from, to))
+            .copied()
+            .unwrap_or(self.default_link);
         let stream = match self.endpoint_noise.get_mut(&from) {
             Some(stream) => stream,
             None => &mut self.noise,
@@ -490,32 +469,9 @@ impl Network {
         let seed = stream.seed;
         match link.fate(seed, packet_index) {
             None => {
-                self.capture.record(CaptureRecord {
-                    sent_at: self.now,
-                    from,
-                    to: Some(to),
-                    source_port,
-                    destination_port,
-                    length: payload.len(),
-                    fate: Fate::Lost,
-                });
                 self.stage_wire_send(from, payload.len() as u64, None);
             }
             Some(delays) => {
-                let fate = if delays.len() > 1 {
-                    Fate::Duplicated
-                } else {
-                    Fate::Delivered
-                };
-                self.capture.record(CaptureRecord {
-                    sent_at: self.now,
-                    from,
-                    to: Some(to),
-                    source_port,
-                    destination_port,
-                    length: payload.len(),
-                    fate,
-                });
                 let wire =
                     self.stage_wire_send(from, payload.len() as u64, Some(delays.len() as u64));
                 for delay in delays {
@@ -652,12 +608,32 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prognosis_events::{MemorySink, ScopedSink};
+
+    /// Records the wire events of traffic between `client` and `server`
+    /// (wire scope 0) into the returned sink; see [`wire_count`].
+    fn record_wire(net: &mut Network, client: EndpointId, server: EndpointId) -> Arc<MemorySink> {
+        let mem = Arc::new(MemorySink::new());
+        net.attach_event_sink(ScopedSink::new(mem.clone(), true));
+        net.set_wire_scope(client, server, 0);
+        mem
+    }
+
+    /// Commits the staged wire events and counts the `wire:{name}` ones
+    /// recorded so far.
+    fn wire_count(net: &Network, mem: &MemorySink, name: &str) -> usize {
+        net.sink.as_ref().expect("sink attached").commit(0);
+        mem.contents()
+            .matches(&format!("\"name\":\"wire:{name}\""))
+            .count()
+    }
 
     #[test]
     fn bind_send_receive_round_trip() {
         let mut net = Network::new(1);
         let a = net.bind(1000).unwrap();
         let b = net.bind(2000).unwrap();
+        let wire = record_wire(&mut net, a, b);
         net.send(a, 2000, Bytes::from_static(b"hello")).unwrap();
         assert_eq!(net.in_flight(), 1);
         assert_eq!(net.deliver_all(), 1);
@@ -665,14 +641,17 @@ mod tests {
         assert_eq!(&dg.payload[..], b"hello");
         assert_eq!(dg.source_port, 1000);
         assert_eq!(dg.destination_port, 2000);
-        assert_eq!(net.capture().len(), 1);
-        assert_eq!(net.capture().lost(), 0);
+        assert_eq!(wire_count(&net, &wire, "send"), 1);
+        assert_eq!(wire_count(&net, &wire, "deliver"), 1);
+        assert_eq!(wire_count(&net, &wire, "drop"), 0);
     }
 
     #[test]
     fn port_conflicts_and_unknown_routes_are_errors() {
         let mut net = Network::new(1);
         let a = net.bind(1000).unwrap();
+        let b = net.bind(2000).unwrap();
+        let wire = record_wire(&mut net, a, b);
         assert_eq!(net.bind(1000).unwrap_err(), NetworkError::PortInUse(1000));
         assert_eq!(
             net.send(a, 9999, Bytes::new()).unwrap_err(),
@@ -682,10 +661,11 @@ mod tests {
             net.endpoint(EndpointId(42)).unwrap_err(),
             NetworkError::UnknownEndpoint(EndpointId(42))
         );
+        assert_eq!(net.in_flight(), 0);
         assert_eq!(
-            net.capture().lost(),
-            1,
-            "unroutable datagrams are captured as lost"
+            wire_count(&net, &wire, "send"),
+            0,
+            "an unroutable datagram never reaches the wire"
         );
     }
 
@@ -708,6 +688,7 @@ mod tests {
         let mut net = Network::with_default_link(7, LinkConfig::ideal().loss(0.5));
         let a = net.bind(1).unwrap();
         let b = net.bind(2).unwrap();
+        let wire = record_wire(&mut net, a, b);
         for _ in 0..200 {
             net.send(a, 2, Bytes::from_static(b"p")).unwrap();
         }
@@ -716,7 +697,9 @@ mod tests {
             delivered > 50 && delivered < 150,
             "delivered {delivered} of 200 at 50% loss"
         );
-        assert_eq!(net.capture().lost(), 200 - delivered);
+        assert_eq!(wire_count(&net, &wire, "send"), 200);
+        assert_eq!(wire_count(&net, &wire, "drop"), 200 - delivered);
+        assert_eq!(wire_count(&net, &wire, "deliver"), delivered);
         assert_eq!(net.endpoint(b).unwrap().pending(), delivered);
     }
 
@@ -930,7 +913,6 @@ mod tests {
 
     #[test]
     fn wire_events_are_staged_per_scope_with_relative_stamps() {
-        use prognosis_events::{MemorySink, ScopedSink};
         let mut net =
             Network::with_default_link(3, LinkConfig::with_latency(SimDuration::from_millis(2)));
         net.advance(SimDuration::from_millis(10)); // nonzero base
@@ -971,7 +953,6 @@ mod tests {
 
     #[test]
     fn lost_and_duplicated_packets_stage_matching_wire_events() {
-        use prognosis_events::{MemorySink, ScopedSink};
         let mut net = Network::with_default_link(7, LinkConfig::ideal().duplicate(1.0));
         let mem = Arc::new(MemorySink::new());
         net.attach_event_sink(ScopedSink::new(mem.clone(), true));
@@ -1005,16 +986,5 @@ mod tests {
         assert!(out.contains("wire:send"));
         assert!(out.contains("wire:drop"));
         assert!(!out.contains("wire:deliver"));
-    }
-
-    #[test]
-    fn capture_can_be_cleared_between_queries() {
-        let mut net = Network::new(1);
-        let a = net.bind(1).unwrap();
-        let _b = net.bind(2).unwrap();
-        net.send(a, 2, Bytes::from_static(b"x")).unwrap();
-        assert_eq!(net.capture().len(), 1);
-        net.clear_capture();
-        assert!(net.capture().is_empty());
     }
 }

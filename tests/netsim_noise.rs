@@ -7,7 +7,9 @@ use bytes::Bytes;
 use prognosis::automata::alphabet::Symbol;
 use prognosis::core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
 use prognosis::core::sul::Sul;
+use prognosis::events::{MemorySink, ScopedSink};
 use prognosis::netsim::{LinkConfig, Network, SimDuration};
+use std::sync::Arc;
 
 /// A toy SUL whose transport is the simulated network: each step sends a
 /// datagram across a (possibly lossy) link and reports whether a reply came
@@ -92,15 +94,25 @@ fn packet_loss_is_flagged_as_nondeterminism() {
     assert!(report.distinct_outputs() >= 2);
 }
 
+/// The event capture of the wire — `wire:drop` events in a memory sink —
+/// records every packet the lossy link loses.
 #[test]
 fn capture_records_the_injected_loss() {
     let mut network = Network::with_default_link(3, LinkConfig::ideal().loss(0.5));
     let a = network.bind(1).unwrap();
-    let _b = network.bind(2).unwrap();
+    let b = network.bind(2).unwrap();
+    let events = Arc::new(MemorySink::new());
+    let sink = ScopedSink::new(events.clone(), true);
+    network.attach_event_sink(sink.clone());
+    network.set_wire_scope(a, b, 0);
     for _ in 0..100 {
         network.send(a, 2, Bytes::from_static(b"x")).unwrap();
     }
-    network.deliver_all();
-    let lost = network.capture().lost();
+    let delivered = network.deliver_all();
+    sink.commit(0);
+    let log = events.contents();
+    let lost = log.matches("\"name\":\"wire:drop\"").count();
     assert!(lost > 20 && lost < 80, "lost {lost} of 100 at 50% loss");
+    assert_eq!(lost + delivered, 100);
+    assert_eq!(log.matches("\"name\":\"wire:deliver\"").count(), delivered);
 }
