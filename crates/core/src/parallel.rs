@@ -1216,18 +1216,20 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
                 });
             }
         }
+        // A ticket lives in at most one of `outstanding`, `ready_answers`
+        // and `async_ready`, so one pass per container counts each once.
         for &ticket in tickets {
             if self.outstanding.remove(&ticket).is_some() {
                 // Already pulled by a worker: let it finish, drop the answer.
                 self.discard.insert(ticket);
                 outcome.discarded += 1;
-            } else if let Some(pos) = self.async_ready.iter().position(|a| a.ticket == ticket) {
-                self.async_ready.remove(pos);
-                outcome.discarded += 1;
             } else if self.ready_answers.remove(&ticket).is_some() {
                 outcome.discarded += 1;
             }
         }
+        let buffered = self.async_ready.len();
+        self.async_ready.retain(|a| !wanted.contains(&a.ticket));
+        outcome.discarded += (buffered - self.async_ready.len()) as u64;
         if self.events.is_some() {
             for &ticket in tickets {
                 if let Some(events) = &self.events {

@@ -913,7 +913,16 @@ impl DTreeLearner {
                 // chunk before stopping; commit exactly that much so the
                 // cache trie (and warm starts from it) stay bit-identical.
                 let keep = (((idx / s.batch_size) + 1) * s.batch_size).min(s.words.len());
-                while (0..keep).any(|i| !s.answers.contains_key(&i)) {
+                // Answers are never withdrawn, so the first unanswered
+                // index only moves forward; the walk above saw `..=idx`.
+                let mut unanswered = idx;
+                loop {
+                    while unanswered < keep && s.answers.contains_key(&unanswered) {
+                        unanswered += 1;
+                    }
+                    if unanswered == keep {
+                        break;
+                    }
                     let got = membership.poll_answers(true);
                     if got.is_empty() {
                         assert!(

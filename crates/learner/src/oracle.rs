@@ -15,12 +15,12 @@
 
 use crate::stats::LearningStats;
 use crate::trie::PrefixTrie;
-use prognosis_automata::alphabet::Alphabet;
+use prognosis_automata::alphabet::{Alphabet, Symbol};
 use prognosis_automata::interner::{IWord, SymbolId};
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Which learning phase the membership queries currently in flight belong
 /// to.  Learners announce the phase through
@@ -303,6 +303,9 @@ struct TicketState {
     answered: bool,
     /// Whether answering required SUL work (false = served from the trie).
     executed: bool,
+    /// Inner ticket of the forwarded word that answers this ticket; `None`
+    /// when it was served from the trie or a staged answer.
+    inner: Option<u64>,
 }
 
 /// One word forwarded to the inner oracle on behalf of async tickets whose
@@ -318,17 +321,36 @@ struct InflightWord {
 /// cache forwards the **first** requester commit as the inner commit and,
 /// when every requester resolves without one, a cancel.
 struct StagedInner {
-    inner_ticket: u64,
     /// Speculative requesters of this word not yet committed or cancelled.
     live: Vec<u64>,
     /// Whether a requester commit was already forwarded.
     committed: bool,
 }
 
+/// Bookkeeping of the asynchronous continuation path.
+///
+/// Every lookup here is a point or range lookup:
+///
+/// - **Covering words.**  `staged` and `inflight` are keyed by
+///   [`InputWord`], whose derived `Ord` is lexicographic over symbols.  A
+///   word sorts before all of its proper extensions, and every key between
+///   a word and one of its extensions is itself an extension, so the keys
+///   covering `w` form one contiguous run starting at the first key `>= w`,
+///   and that key — kept only if it covers `w` — is the smallest covering
+///   key.  A key sorting below `w` never covers it — not even `w`'s own
+///   proper prefix, its usual sorted predecessor.
+/// - **Ticket index.**  Each ticket records the inner ticket of the word
+///   forwarded on its behalf ([`TicketState::inner`]).  While the ticket is
+///   unanswered that names its `inflight` carrier (through `inner_words`);
+///   once the word is answered all-speculatively it keys the ticket's
+///   `staged_inner` entry.  Cancelling or resolving one ticket therefore
+///   never walks the other tickets.
 #[derive(Default)]
 struct AsyncCacheState {
     next_inner: u64,
     tickets: BTreeMap<u64, TicketState>,
+    /// Tickets in `tickets` not yet answered.
+    pending: u64,
     inflight: BTreeMap<InputWord, InflightWord>,
     inner_words: BTreeMap<u64, InputWord>,
     /// Full answers of forwarded words whose requesters were all
@@ -337,9 +359,11 @@ struct AsyncCacheState {
     /// `fresh_symbols` and every warm-start run — bit-identical to a
     /// serial execution that never issued the speculative words.
     staged: BTreeMap<InputWord, OutputWord>,
-    /// Inner tickets of answered all-speculative words, keyed by word,
+    /// Answered all-speculative words, keyed by their inner ticket,
     /// awaiting the learner's commit/cancel of their requesters.
-    staged_inner: BTreeMap<InputWord, StagedInner>,
+    staged_inner: BTreeMap<u64, StagedInner>,
+    /// Answers collected during one `submit_queries`/`poll_answers` call;
+    /// always empty between calls.
     ready: Vec<AsyncAnswer>,
 }
 
@@ -352,40 +376,54 @@ impl AsyncCacheState {
     /// The staged answer covering `word`, truncated to its length.
     fn staged_lookup(&self, word: &InputWord) -> Option<OutputWord> {
         self.staged
-            .iter()
-            .find(|(k, _)| covers(k, word))
+            .range(word..)
+            .next()
+            .filter(|(k, _)| covers(k, word))
             .map(|(_, out)| out.prefix(word.len()))
     }
 
-    /// Drops staged entries no longer needed by any live ticket.
-    fn prune_staged(&mut self) {
-        let tickets = &self.tickets;
-        self.staged
-            .retain(|word, _| tickets.values().any(|st| covers(word, &st.word)));
+    /// The in-flight word covering `word`, if any.
+    fn carrier_mut(&mut self, word: &InputWord) -> Option<&mut InflightWord> {
+        self.inflight
+            .range_mut(word..)
+            .next()
+            .filter(|(k, _)| covers(k, word))
+            .map(|(_, entry)| entry)
     }
 
-    /// Resolves `ticket`'s stake in an answered all-speculative word.
-    /// Returns the word's inner ticket exactly when this resolution
-    /// settles the inner oracle's scope: the first commit among the
-    /// word's requesters (`commit`), or the last cancel of a word no
-    /// requester committed (`!commit`).
-    fn resolve_staged_inner(&mut self, ticket: u64, commit: bool) -> Option<u64> {
-        let word = self
-            .staged_inner
-            .iter()
-            .find_map(|(w, e)| e.live.contains(&ticket).then(|| w.clone()))?;
-        let entry = self.staged_inner.get_mut(&word).expect("entry just found");
-        entry.live.retain(|&t| t != ticket);
+    /// Drops staged entries no longer needed by any live ticket: a staged
+    /// word survives while some ticket's word is one of its prefixes.
+    fn prune_staged(&mut self) {
+        let live: HashSet<&[Symbol]> = self.tickets.values().map(|t| t.word.as_slice()).collect();
+        self.staged
+            .retain(|word, _| (0..=word.len()).any(|n| live.contains(&word.as_slice()[..n])));
+    }
+
+    /// Resolves `ticket`'s stake in an answered all-speculative word, given
+    /// the ticket's [`TicketState::inner`].  Returns the word's inner
+    /// ticket exactly when this resolution settles the inner oracle's
+    /// scope: the first commit among the word's requesters (`commit`), or
+    /// the last cancel of a word no requester committed (`!commit`).
+    fn resolve_staged_inner(
+        &mut self,
+        ticket: u64,
+        inner: Option<u64>,
+        commit: bool,
+    ) -> Option<u64> {
+        let inner = inner?;
+        let entry = self.staged_inner.get_mut(&inner)?;
+        let pos = entry.live.iter().position(|&t| t == ticket)?;
+        entry.live.swap_remove(pos);
         let settle = if commit {
             (!entry.committed).then(|| {
                 entry.committed = true;
-                entry.inner_ticket
+                inner
             })
         } else {
-            (entry.live.is_empty() && !entry.committed).then_some(entry.inner_ticket)
+            (entry.live.is_empty() && !entry.committed).then_some(inner)
         };
         if entry.live.is_empty() {
-            self.staged_inner.remove(&word);
+            self.staged_inner.remove(&inner);
         }
         settle
     }
@@ -457,6 +495,22 @@ impl<O: MembershipOracle> CacheOracle<O> {
     /// Consumes the cache, returning the inner oracle and the trie.
     pub fn into_parts(self) -> (O, PrefixTrie) {
         (self.inner, self.trie)
+    }
+
+    /// Whether the asynchronous path holds no bookkeeping: no outstanding
+    /// or staged ticket, word in flight, staged answer or inner ticket
+    /// awaiting its verdict.  True once every submitted ticket is answered,
+    /// every speculative one is committed or cancelled, and a commit or
+    /// cancel has run since (staged answers are pruned there).
+    pub fn async_idle(&self) -> bool {
+        let st = &self.async_state;
+        st.pending == 0
+            && st.tickets.is_empty()
+            && st.inflight.is_empty()
+            && st.inner_words.is_empty()
+            && st.staged.is_empty()
+            && st.staged_inner.is_empty()
+            && st.ready.is_empty()
     }
 
     /// All distinct (input, output) query pairs — the raw material for the
@@ -535,14 +589,14 @@ impl<O: MembershipOracle> CacheOracle<O> {
                 // oracle keeps its scope staged until the learner's verdict
                 // on these requesters is relayed down.
                 self.async_state.staged_inner.insert(
-                    word.clone(),
+                    answer.ticket,
                     StagedInner {
-                        inner_ticket: answer.ticket,
                         live: requesters.clone(),
                         committed: false,
                     },
                 );
             }
+            self.async_state.pending -= requesters.len() as u64;
             let mut inserted = false;
             for ticket in requesters {
                 let state = &self.async_state.tickets[&ticket];
@@ -697,6 +751,7 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
                             speculative: true,
                             answered: true,
                             executed: false,
+                            inner: None,
                         },
                     );
                 } else {
@@ -718,6 +773,7 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
                             speculative: true,
                             answered: true,
                             executed: true,
+                            inner: None,
                         },
                     );
                 } else {
@@ -734,32 +790,24 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
                 continue;
             }
             // Piggyback on a word already in flight that covers this one.
-            let carrier = self
-                .async_state
-                .inflight
-                .keys()
-                .find(|k| covers(k, &q.input))
-                .cloned();
-            self.async_state.tickets.insert(
-                q.ticket,
-                TicketState {
-                    word: q.input.clone(),
-                    speculative: q.speculative,
-                    answered: false,
-                    executed: true,
-                },
-            );
-            if let Some(carrier) = carrier {
-                self.async_state
-                    .inflight
-                    .get_mut(&carrier)
-                    .expect("carrier in flight")
-                    .requesters
-                    .push(q.ticket);
+            self.async_state.pending += 1;
+            let mut state = TicketState {
+                word: q.input,
+                speculative: q.speculative,
+                answered: false,
+                executed: true,
+                inner: None,
+            };
+            if let Some(entry) = self.async_state.carrier_mut(&state.word) {
+                entry.requesters.push(q.ticket);
+                state.inner = Some(entry.inner_ticket);
+                self.async_state.tickets.insert(q.ticket, state);
                 continue;
             }
-            forward_phase.entry(q.input.clone()).or_insert(q.phase);
-            pending_forward.entry(q.input).or_default().push(q.ticket);
+            let input = state.word.clone();
+            self.async_state.tickets.insert(q.ticket, state);
+            forward_phase.entry(input.clone()).or_insert(q.phase);
+            pending_forward.entry(input).or_default().push(q.ticket);
         }
         // Within-call prefix subsumption: in the sorted key list every
         // proper prefix is adjacent to an extension, so chase carriers from
@@ -781,11 +829,14 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
         let mut forwards = Vec::with_capacity(groups.len());
         for (carrier_idx, requesters) in groups {
             let word = words[carrier_idx].clone();
-            let speculative = requesters
-                .iter()
-                .all(|t| self.async_state.tickets[t].speculative);
             let inner_ticket = self.async_state.next_inner;
             self.async_state.next_inner += 1;
+            let mut speculative = true;
+            for ticket in &requesters {
+                let state = self.async_state.tickets.get_mut(ticket).expect("live");
+                state.inner = Some(inner_ticket);
+                speculative &= state.speculative;
+            }
             self.async_state
                 .inner_words
                 .insert(inner_ticket, word.clone());
@@ -827,27 +878,23 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
     }
 
     fn cancel_queries(&mut self, tickets: &[u64]) -> CancelOutcome {
+        debug_assert!(
+            self.async_state.ready.is_empty(),
+            "answers linger between calls"
+        );
         let mut outcome = CancelOutcome::default();
         let mut inner_cancel: Vec<u64> = Vec::new();
-        let mut drop_words: Vec<InputWord> = Vec::new();
+        let st = &mut self.async_state;
         for &ticket in tickets {
-            let Some(state) = self.async_state.tickets.remove(&ticket) else {
+            let Some(state) = st.tickets.remove(&ticket) else {
                 continue;
             };
-            if let Some(pos) = self
-                .async_state
-                .ready
-                .iter()
-                .position(|a| a.ticket == ticket)
-            {
-                self.async_state.ready.remove(pos);
-            }
             if state.answered {
                 if state.executed {
                     outcome.discarded += 1;
                     // The last cancel of a never-committed word releases
                     // the inner oracle's staged scope.
-                    if let Some(inner) = self.async_state.resolve_staged_inner(ticket, false) {
+                    if let Some(inner) = st.resolve_staged_inner(ticket, state.inner, false) {
                         inner_cancel.push(inner);
                     }
                 } else {
@@ -855,32 +902,25 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
                 }
                 continue;
             }
-            let mut shared = false;
-            for (word, entry) in self.async_state.inflight.iter_mut() {
-                if let Some(pos) = entry.requesters.iter().position(|&r| r == ticket) {
-                    entry.requesters.remove(pos);
-                    if entry.requesters.is_empty() {
-                        inner_cancel.push(entry.inner_ticket);
-                        drop_words.push(word.clone());
-                    } else {
-                        shared = true;
-                    }
-                    break;
-                }
-            }
-            if shared {
+            st.pending -= 1;
+            let inner = state.inner.expect("unanswered ticket has a carrier");
+            let word = &st.inner_words[&inner];
+            let entry = st.inflight.get_mut(word).expect("carrier in flight");
+            let pos = entry
+                .requesters
+                .iter()
+                .position(|&r| r == ticket)
+                .expect("ticket requests its carrier");
+            entry.requesters.remove(pos);
+            if entry.requesters.is_empty() {
+                let word = st.inner_words.remove(&inner).expect("carrier word");
+                st.inflight.remove(&word);
+                inner_cancel.push(inner);
+            } else {
                 // The word keeps executing for surviving requesters; this
                 // ticket's share of the work is not extra waste.
                 outcome.unsent += 1;
             }
-        }
-        for word in drop_words {
-            let entry = self
-                .async_state
-                .inflight
-                .remove(&word)
-                .expect("word pending removal");
-            self.async_state.inner_words.remove(&entry.inner_ticket);
         }
         let inner_outcome = self.inner.cancel_queries(&inner_cancel);
         outcome.unsent += inner_outcome.unsent;
@@ -910,7 +950,10 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
             }
             // The first requester commit confirms the inner oracle's
             // speculative work — relay it so the inner scope can flush.
-            if let Some(inner) = self.async_state.resolve_staged_inner(ticket, true) {
+            if let Some(inner) = self
+                .async_state
+                .resolve_staged_inner(ticket, state.inner, true)
+            {
                 inner_commit.push(inner);
             }
         }
@@ -921,13 +964,7 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
     }
 
     fn outstanding_queries(&self) -> u64 {
-        let pending = self
-            .async_state
-            .tickets
-            .values()
-            .filter(|t| !t.answered)
-            .count();
-        (pending + self.async_state.ready.len()) as u64
+        self.async_state.pending
     }
 }
 
@@ -1086,6 +1123,46 @@ mod tests {
         assert_eq!(warm.fresh_symbols(), 0, "warm start must not touch the SUL");
         assert_eq!(warm.misses(), 0);
         assert_eq!(warm.inner().queries_answered(), 0);
+    }
+
+    fn word(symbols: &[&str]) -> InputWord {
+        InputWord::from_symbols(symbols.iter().copied())
+    }
+
+    #[test]
+    fn covering_lookups_find_the_smallest_extension_and_skip_prefixes() {
+        let mut st = AsyncCacheState::default();
+        for (inner_ticket, symbols) in [(0, &["a", "b"][..]), (1, &["a", "c", "d"][..])] {
+            let output = symbols.iter().map(|s| s.to_uppercase()).collect();
+            st.staged.insert(word(symbols), output);
+            st.inflight.insert(
+                word(symbols),
+                InflightWord {
+                    inner_ticket,
+                    requesters: Vec::new(),
+                },
+            );
+        }
+        let carrier = |st: &mut AsyncCacheState, w: &[&str]| {
+            st.carrier_mut(&word(w)).map(|entry| entry.inner_ticket)
+        };
+        // `a·c` sorts between `a·b` and `a·c·d`: the first key at or after
+        // it is its extension.
+        let ac = OutputWord::from_symbols(["A", "C"]);
+        assert_eq!(st.staged_lookup(&word(&["a", "c"])), Some(ac));
+        assert_eq!(carrier(&mut st, &["a", "c"]), Some(1));
+        // Both keys cover `a`; the smallest one answers, as a front-to-back
+        // scan would.
+        let a = OutputWord::from_symbols(["A"]);
+        assert_eq!(st.staged_lookup(&word(&["a"])), Some(a));
+        assert_eq!(carrier(&mut st, &["a"]), Some(0));
+        // `a·b·x`'s sorted predecessor `a·b` is its own proper prefix and
+        // its successor `a·c·d` diverges: no key covers it.
+        assert_eq!(st.staged_lookup(&word(&["a", "b", "x"])), None);
+        assert_eq!(carrier(&mut st, &["a", "b", "x"]), None);
+        // Past the last key.
+        assert_eq!(st.staged_lookup(&word(&["b"])), None);
+        assert_eq!(carrier(&mut st, &["b"]), None);
     }
 
     #[test]
