@@ -16,7 +16,8 @@ use std::fmt;
 /// Unlike [`crate::mealy::MealyMachine`], a DFA may be partial: a missing
 /// transition is interpreted as a transition to an implicit non-accepting
 /// sink (useful for monitors where "anything else is fine" or
-/// "anything else is a violation" depending on [`Dfa::missing_is_accepting`]).
+/// "anything else is a violation" depending on
+/// [`DfaBuilder::missing_is_accepting`]).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Dfa {
     alphabet: Alphabet,

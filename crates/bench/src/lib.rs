@@ -29,8 +29,7 @@ use prognosis_core::nondeterminism::{
     check_multiplexed, NondeterminismChecker, NondeterminismConfig,
 };
 use prognosis_core::pipeline::{
-    learn_model, learn_model_parallel, learn_model_parallel_with_events, LearnConfig, LearnedModel,
-    SiftStrategy,
+    learn_model, learn_model_parallel, Learn, LearnConfig, LearnedModel, SiftStrategy,
 };
 use prognosis_core::quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul, QuicSulFactory};
 use prognosis_core::session::{EngineStats, PhaseStats, QueryPhase, SimDuration};
@@ -2976,14 +2975,10 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
                     let wall = std::time::Instant::now();
                     let cpu = process_cpu_seconds();
                     for _ in 0..per_sample {
-                        let logged = learn_model_parallel_with_events(
-                            &factory,
-                            &tcp_alphabet(),
-                            config.clone(),
-                            Arc::clone(&timed_log) as Arc<dyn EventSink>,
-                            true,
-                        )
-                        .expect("sink-enabled learning succeeds");
+                        let logged = Learn::new(config.clone())
+                            .with_events(Arc::clone(&timed_log) as Arc<dyn EventSink>, true)
+                            .run(&factory, &tcp_alphabet())
+                            .expect("sink-enabled learning succeeds");
                         model_states = logged.learned.model.num_states();
                         logged_model = Some(logged.learned.model);
                     }
@@ -3022,14 +3017,10 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
         // Rewrite the on-disk artifact as exactly one run's stream.
         clear_log_files();
         let log = Arc::new(EventLog::open(EventLogConfig::new(log_path)).expect("event log opens"));
-        learn_model_parallel_with_events(
-            &factory,
-            &tcp_alphabet(),
-            config.clone(),
-            Arc::clone(&log) as Arc<dyn EventSink>,
-            true,
-        )
-        .expect("artifact run succeeds");
+        Learn::new(config.clone())
+            .with_events(Arc::clone(&log) as Arc<dyn EventSink>, true)
+            .run(&factory, &tcp_alphabet())
+            .expect("artifact run succeeds");
         log.flush();
         assert_eq!(log.io_errors(), 0, "the artifact log must write cleanly");
     }

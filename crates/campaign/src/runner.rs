@@ -24,9 +24,7 @@ use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::InputWord;
 use prognosis_core::engine::EnginePool;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
-use prognosis_core::pipeline::{
-    learn_model_parallel_seeded_with_events, LearnConfig, LearnError, SeededLearnOutcome,
-};
+use prognosis_core::pipeline::{Learn, LearnError, LearnedModel};
 use prognosis_core::quic_adapter::{QuicSul, QuicSulFactory};
 use prognosis_core::session::{SessionSulFactory, SimDuration};
 use prognosis_core::sul::Sul;
@@ -136,35 +134,13 @@ struct CellDone {
     trie: PrefixTrie,
 }
 
-/// The monomorphization boundary: everything the runner needs out of a
-/// [`SeededLearnOutcome`], with the session-SUL type erased.
+/// The monomorphization boundary: a `ParallelLearnOutcome` minus its
+/// session SULs, whose type differs per cell.
 struct LearnBits {
-    model: MealyMachine,
-    membership_queries: u64,
-    equivalence_tests: u64,
-    fresh_symbols: u64,
-    distinct_queries: u64,
+    learned: LearnedModel,
     virtual_elapsed_micros: u64,
     trie: PrefixTrie,
-    primed_words: u64,
     prime_misses: u64,
-    learn_misses: u64,
-}
-
-fn extract_bits<S>(outcome: SeededLearnOutcome<S>) -> LearnBits {
-    let learned = &outcome.outcome.learned;
-    LearnBits {
-        model: learned.model.clone(),
-        membership_queries: learned.stats.membership_queries,
-        equivalence_tests: learned.stats.equivalence_tests,
-        fresh_symbols: learned.stats.fresh_symbols,
-        distinct_queries: learned.distinct_queries as u64,
-        virtual_elapsed_micros: outcome.outcome.engine.virtual_elapsed_micros,
-        trie: outcome.trie,
-        primed_words: outcome.primed_words,
-        prime_misses: outcome.prime_misses,
-        learn_misses: outcome.learn_misses,
-    }
 }
 
 /// The cell's shared-cache identity: the SUL's own cache key, or `None`
@@ -197,45 +173,31 @@ fn link_config(imp: &crate::spec::Impairment) -> LinkConfig {
 }
 
 /// Dispatches one cell's learn to the right monomorphized pipeline call.
-fn learn_cell(
-    pool: &EnginePool,
-    learn: &LearnConfig,
-    cell: &CellSpec,
-    warm: PrefixTrie,
-    prime: &[InputWord],
-    events: Option<Arc<dyn EventSink>>,
-) -> Result<LearnBits, LearnError> {
+fn learn_cell(learn: Learn<'_>, cell: &CellSpec) -> Result<LearnBits, LearnError> {
     let alphabet = cell.effective_alphabet();
     fn go<F>(
-        pool: &EnginePool,
+        learn: Learn<'_>,
         factory: &F,
         alphabet: &prognosis_automata::alphabet::Alphabet,
-        learn: &LearnConfig,
-        warm: PrefixTrie,
-        prime: &[InputWord],
-        events: Option<Arc<dyn EventSink>>,
     ) -> Result<LearnBits, LearnError>
     where
         F: SessionSulFactory,
         F::Session: Send + 'static,
     {
-        learn_model_parallel_seeded_with_events(pool, factory, alphabet, learn, warm, prime, events)
-            .map(extract_bits)
+        let outcome = learn.run(factory, alphabet)?;
+        Ok(LearnBits {
+            learned: outcome.learned,
+            virtual_elapsed_micros: outcome.engine.virtual_elapsed_micros,
+            trie: outcome.trie,
+            prime_misses: outcome.prime_misses,
+        })
     }
     match (cell.protocol, &cell.impairment) {
-        (Protocol::Tcp, None) => go(
-            pool,
-            &TcpSulFactory::default(),
-            &alphabet,
-            learn,
-            warm,
-            prime,
-            events,
-        ),
+        (Protocol::Tcp, None) => go(learn, &TcpSulFactory::default(), &alphabet),
         (Protocol::Tcp, Some(imp)) => {
             let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), link_config(imp))
                 .with_noise_seed(imp.noise_seed);
-            go(pool, &factory, &alphabet, learn, warm, prime, events)
+            go(learn, &factory, &alphabet)
         }
         (Protocol::Quic, impairment) => {
             let profile = cell
@@ -247,11 +209,11 @@ fn learn_cell(
                 factory = factory.with_buggy_retry_client();
             }
             match impairment {
-                None => go(pool, &factory, &alphabet, learn, warm, prime, events),
+                None => go(learn, &factory, &alphabet),
                 Some(imp) => {
                     let factory = NetworkedSessionFactory::new(factory, link_config(imp))
                         .with_noise_seed(imp.noise_seed);
-                    go(pool, &factory, &alphabet, learn, warm, prime, events)
+                    go(learn, &factory, &alphabet)
                 }
             }
         }
@@ -390,11 +352,21 @@ pub fn run_campaign(
                     }
                     None => (Vec::new(), None),
                 };
-                let bits = learn_cell(&pool, &spec.learn, cell, warm, &prime, events.clone())
-                    .map_err(|error| CampaignError::Learn {
-                        task: graph.nodes()[task].id.clone(),
-                        error,
-                    })?;
+                let mut learn = Learn::new(spec.learn.clone())
+                    .on_pool(&pool)
+                    .seeded(warm, &prime);
+                if let Some(sink) = &events {
+                    learn = learn.with_events(Arc::clone(sink), true);
+                }
+                let bits = learn_cell(learn, cell).map_err(|error| CampaignError::Learn {
+                    task: graph.nodes()[task].id.clone(),
+                    error,
+                })?;
+                // Distinct queries the SUL answered *after* priming — the
+                // learner queries the primed cache did not cover.
+                let learned = &bits.learned;
+                let distinct_queries = learned.distinct_queries as u64;
+                let learn_misses = distinct_queries.saturating_sub(bits.prime_misses);
                 // Divergent cached answers between the baseline's trie and
                 // this cell's own answers are the cross-version regression
                 // findings (left = baseline, right = this cell).
@@ -424,20 +396,20 @@ pub fn run_campaign(
                         .as_ref()
                         .map(|i| i.label())
                         .unwrap_or_default(),
-                    states: bits.model.num_states(),
-                    transitions: bits.model.num_transitions(),
-                    model_digest: model_digest(&bits.model),
-                    membership_queries: bits.membership_queries,
-                    equivalence_tests: bits.equivalence_tests,
-                    fresh_symbols: bits.fresh_symbols,
-                    distinct_queries: bits.distinct_queries,
-                    primed_words: bits.primed_words,
+                    states: learned.model.num_states(),
+                    transitions: learned.model.num_transitions(),
+                    model_digest: model_digest(&learned.model),
+                    membership_queries: learned.stats.membership_queries,
+                    equivalence_tests: learned.stats.equivalence_tests,
+                    fresh_symbols: learned.stats.fresh_symbols,
+                    distinct_queries,
+                    primed_words: prime.len() as u64,
                     prime_misses: bits.prime_misses,
-                    learn_misses: bits.learn_misses,
-                    cache_hit_rate: if bits.distinct_queries == 0 {
+                    learn_misses,
+                    cache_hit_rate: if distinct_queries == 0 {
                         1.0
                     } else {
-                        1.0 - bits.learn_misses as f64 / bits.distinct_queries as f64
+                        1.0 - learn_misses as f64 / distinct_queries as f64
                     },
                     virtual_elapsed_micros: bits.virtual_elapsed_micros,
                     cacheable: key.is_some(),
@@ -447,7 +419,7 @@ pub fn run_campaign(
                     i,
                     CellDone {
                         report,
-                        model: bits.model,
+                        model: bits.learned.model,
                         trie: bits.trie,
                     },
                 );
@@ -591,6 +563,7 @@ mod tests {
     use super::*;
     use crate::spec::{CellSpec, Impairment};
     use prognosis_analysis::properties::SafetyProperty;
+    use prognosis_core::pipeline::LearnConfig;
 
     /// A 3-symbol TCP alphabet keeps unit-test campaigns fast.
     fn small_tcp_cell(id: &str, version: &str) -> CellSpec {

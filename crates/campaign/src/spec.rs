@@ -239,7 +239,7 @@ pub struct CampaignSpec {
     pub checks: Vec<CheckSpec>,
     /// The per-cell learning configuration (`workers` and `max_inflight`
     /// are the engine slots *each* learn task leases from the shared pool;
-    /// `cache_path`/`warm_start` here are ignored — the campaign's shared
+    /// `cache_path` here is ignored — the campaign's shared
     /// versioned store handles persistence).
     pub learn: LearnConfig,
     /// Maximum distinguishing traces per diff entry.

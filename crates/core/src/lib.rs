@@ -65,8 +65,8 @@ pub use nondeterminism::{check_multiplexed, NondeterminismChecker, Nondeterminis
 pub use oracle_table::{HasOracleTable, OracleTable};
 pub use parallel::{EngineShutdown, ParallelSulOracle};
 pub use pipeline::{
-    learn_model, learn_model_parallel, learn_model_parallel_on, learn_model_parallel_seeded,
-    LearnConfig, LearnError, LearnedModel, ParallelLearnOutcome, SeededLearnOutcome,
+    learn_model, learn_model_parallel, Learn, LearnConfig, LearnError, LearnedModel,
+    ParallelLearnOutcome,
 };
 pub use quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul, QuicSulFactory};
 pub use session::{

@@ -226,8 +226,8 @@ struct Worker<Sn> {
 /// The workers run on an [`EnginePool`]: either a private pool this oracle
 /// constructed for itself ([`ParallelSulOracle::spawn_with`], the classic
 /// one-oracle-per-pool shape) or a shared pool several concurrent learn
-/// tasks lease slots from ([`ParallelSulOracle::spawn_on_pool`], the
-/// campaign shape).  Which pool hosts the workers never affects answers or
+/// tasks lease slots from ([`ParallelSulOracle::spawn_on`], the campaign
+/// shape).  Which pool hosts the workers never affects answers or
 /// statistics — everything observable runs on virtual time.
 pub struct ParallelSulOracle<Sn: SessionSul> {
     shared: Arc<Shared>,
@@ -237,10 +237,10 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// harvest).  Reading stats is a plain field access on the dispatcher
     /// thread — no cross-thread lock on any stats path.
     snapshots: Vec<WorkerSnapshot>,
-    /// The pool backing `spawn_with`-style oracles; `None` when the workers
+    /// The private pool backing the workers; `None` when the workers
     /// are leased from a caller-owned shared pool.  Dropped (joining its
     /// threads) after the workers have been drained.
-    owned_pool: Option<EnginePool>,
+    _owned_pool: Option<EnginePool>,
     max_inflight: usize,
     queries: u64,
     batches: u64,
@@ -355,23 +355,9 @@ pub struct EngineShutdown<S> {
 }
 
 impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
-    /// Spawns `workers` threads with one session each (the blocking
-    /// configuration: parallelism without multiplexing).
-    ///
-    /// # Panics
-    /// Panics when `workers` is zero.
-    pub fn spawn<F>(factory: &F, workers: usize) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
-        Self::spawn_with(factory, workers, 1)
-    }
-
     /// Spawns `workers` threads, each multiplexing `max_inflight` sessions
-    /// minted by `factory` over one shared virtual clock.  The oracle owns
-    /// a private [`EnginePool`] sized to exactly these workers; use
-    /// [`ParallelSulOracle::spawn_on_pool`] to lease slots from a shared
-    /// pool instead.
+    /// minted by `factory` over one shared virtual clock, on a private
+    /// [`EnginePool`] sized to exactly these workers, with no event sink.
     ///
     /// # Panics
     /// Panics when `workers` or `max_inflight` is zero.
@@ -379,81 +365,39 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     where
         F: SessionSulFactory<Session = Sn>,
     {
-        Self::spawn_with_events(factory, workers, max_inflight, None, false)
+        Self::spawn_on(None, factory, workers, max_inflight, None)
     }
 
-    /// [`ParallelSulOracle::spawn_with`] plus an event sink: the engine's
-    /// telemetry flows into `sink` ([`prognosis_events`]), with diagnostic
-    /// events gated by `diagnostics`.
+    /// Spawns the oracle's `workers` worker loops, each multiplexing
+    /// `max_inflight` sessions minted by `factory`.
     ///
-    /// # Panics
-    /// Panics when `workers` or `max_inflight` is zero.
-    pub fn spawn_with_events<F>(
-        factory: &F,
-        workers: usize,
-        max_inflight: usize,
-        sink: Option<Arc<dyn EventSink>>,
-        diagnostics: bool,
-    ) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
-        assert!(workers >= 1, "a parallel oracle needs at least one worker");
-        let pool = EnginePool::new(workers);
-        let mut oracle = Self::spawn_on_pool_with_events(
-            &pool,
-            factory,
-            workers,
-            max_inflight,
-            sink,
-            diagnostics,
-        );
-        oracle.owned_pool = Some(pool);
-        oracle
-    }
-
-    /// Spawns the oracle's `workers` worker loops on slots leased from
-    /// `pool`, blocking until that many slots are free.  This is how
-    /// several concurrent learn tasks — possibly with different SUL types —
-    /// share one engine: each task's oracle holds its lease for the
-    /// oracle's lifetime and the slots return to the pool on shutdown (or
-    /// drop).
+    /// With `pool` set the loops run on slots leased from that shared pool,
+    /// blocking until that many slots are free: this is how several
+    /// concurrent learn tasks — possibly with different SUL types — share
+    /// one engine.  Each oracle holds its lease for its lifetime and the
+    /// slots return to the pool on shutdown (or drop).  With `pool` unset
+    /// the oracle builds a private pool sized to exactly these workers.
+    ///
+    /// With `events` set to `(sink, diagnostics)` the engine's telemetry
+    /// flows into `sink` ([`prognosis_events`]), with diagnostic events
+    /// gated by `diagnostics`.
     ///
     /// # Panics
     /// Panics when `workers` or `max_inflight` is zero, or when `workers`
-    /// exceeds the pool size.
-    pub fn spawn_on_pool<F>(
-        pool: &EnginePool,
+    /// exceeds the size of `pool`.
+    pub fn spawn_on<F>(
+        pool: Option<&EnginePool>,
         factory: &F,
         workers: usize,
         max_inflight: usize,
-    ) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
-        Self::spawn_on_pool_with_events(pool, factory, workers, max_inflight, None, false)
-    }
-
-    /// [`ParallelSulOracle::spawn_on_pool`] plus an event sink (see
-    /// [`ParallelSulOracle::spawn_with_events`]).
-    ///
-    /// # Panics
-    /// Panics when `workers` or `max_inflight` is zero, or when `workers`
-    /// exceeds the pool size.
-    pub fn spawn_on_pool_with_events<F>(
-        pool: &EnginePool,
-        factory: &F,
-        workers: usize,
-        max_inflight: usize,
-        sink: Option<Arc<dyn EventSink>>,
-        diagnostics: bool,
+        events: Option<(Arc<dyn EventSink>, bool)>,
     ) -> Self
     where
         F: SessionSulFactory<Session = Sn>,
     {
         assert!(workers >= 1, "a parallel oracle needs at least one worker");
         assert!(max_inflight >= 1, "each worker needs at least one session");
-        let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
+        let events = events.map(|(sink, diagnostics)| ScopedSink::new(sink, diagnostics));
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -465,7 +409,14 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             workers,
         });
         let (reply_tx, reply_rx) = channel::<Reply>();
-        let mut lease = pool.lease(workers);
+        let (owned_pool, mut lease) = match pool {
+            Some(pool) => (None, pool.lease(workers)),
+            None => {
+                let pool = EnginePool::new(workers);
+                let lease = pool.lease(workers);
+                (Some(pool), lease)
+            }
+        };
         let num_workers = workers;
         let workers = (0..workers)
             .map(|worker_id| {
@@ -520,7 +471,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             reply_rx,
             workers,
             snapshots: vec![WorkerSnapshot::default(); num_workers],
-            owned_pool: None,
+            _owned_pool: owned_pool,
             max_inflight,
             queries: 0,
             batches: 0,
@@ -538,11 +489,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             scope_state: std::collections::HashMap::new(),
             batch_cursor: 0,
         }
-    }
-
-    /// The oracle's staging event sink, when one was attached at spawn.
-    pub fn event_sink(&self) -> Option<Arc<ScopedSink>> {
-        self.events.clone()
     }
 
     /// Number of worker threads.
@@ -636,12 +582,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         Ok(EngineShutdown { suls, engine })
     }
 
-    /// Shuts down and returns just the session SULs (see
-    /// [`ParallelSulOracle::shutdown`]).
-    pub fn into_suls(self) -> Result<Vec<Sn::Sul>, LearnError> {
-        self.shutdown().map(|s| s.suls)
-    }
-
     fn dispatch(&mut self, inputs: &[Arc<InputWord>]) -> Vec<OutputWord> {
         self.batches += 1;
         self.queries += inputs.len() as u64;
@@ -688,7 +628,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                 }
                 Ok(Reply::Dead { worker, message }) => {
                     // Relay the worker's death up through the learning loop;
-                    // `learn_model_parallel` converts it into a `LearnError`.
+                    // `Learn::run` converts it into a `LearnError`.
                     std::panic::panic_any(LearnError::WorkerPanicked { worker, message });
                 }
                 Err(_) => {
@@ -1376,14 +1316,14 @@ mod tests {
     #[test]
     fn single_queries_and_stats_flow_through() {
         let factory = session_factory(known::toggle());
-        let mut parallel = ParallelSulOracle::spawn(&factory, 2);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 2, 1);
         let word = InputWord::from_symbols(["press", "press", "press"]);
         let out = parallel.query(&word);
         assert_eq!(out, known::toggle().run(&word).unwrap());
         assert_eq!(parallel.stats().symbols_sent, 3);
         assert_eq!(parallel.stats().resets, 1);
         assert_eq!(parallel.batches_dispatched(), 1);
-        let suls = parallel.into_suls().expect("clean shutdown");
+        let suls = parallel.shutdown().expect("clean shutdown").suls;
         assert_eq!(suls.len(), 2);
         assert_eq!(suls.iter().map(|s| s.stats().symbols_sent).sum::<u64>(), 3);
     }
@@ -1391,7 +1331,7 @@ mod tests {
     #[test]
     fn empty_batches_are_answered_without_dispatch() {
         let factory = session_factory(known::toggle());
-        let mut parallel = ParallelSulOracle::spawn(&factory, 3);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 3, 1);
         assert!(parallel.query_batch(&[]).is_empty());
         assert_eq!(parallel.batches_dispatched(), 0);
     }
@@ -1535,7 +1475,7 @@ mod tests {
     #[test]
     fn panicking_workers_surface_as_learn_errors_not_hangs() {
         let factory = BlockingSessionFactory(PanickySulFactory);
-        let mut parallel = ParallelSulOracle::spawn(&factory, 2);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 2, 1);
         let poisoned = vec![InputWord::from_symbols(["poison"])];
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             parallel.query_batch(&poisoned);

@@ -7,10 +7,10 @@
 //! heuristic equivalence oracle of §4.1.  Queries flow through the stack in
 //! batches; with [`LearnConfig::workers`] > 1 the batches fan out across
 //! independent SUL instances ([`crate::parallel::ParallelSulOracle`])
-//! minted by a [`SulFactory`].  Results are deterministic and identical to
-//! the sequential path for any worker count: the equivalence oracle's word
-//! stream depends only on the seed, and each SUL instance answers each word
-//! the same way (§3.2 property 3).
+//! minted by a [`SessionSulFactory`].  Results are deterministic and
+//! identical to the sequential path for any worker count: the equivalence
+//! oracle's word stream depends only on the seed, and each SUL instance
+//! answers each word the same way (§3.2 property 3).
 
 use crate::engine::EnginePool;
 use crate::oracle_table::{HasOracleTable, OracleTable};
@@ -101,13 +101,12 @@ pub struct LearnConfig {
     /// [`Sul::cache_key`] and the alphabet, so one path can safely be
     /// shared between different SULs and alphabets — mismatched entries are
     /// replaced, matching entries are merged.
+    ///
+    /// A run with a cache path always warm-starts from the file and then
+    /// persists to it: with a fully matching cache it issues zero fresh
+    /// SUL symbols yet learns a bit-identical model, because the cache
+    /// answers queries exactly as the (deterministic) SUL would.
     pub cache_path: Option<String>,
-    /// Whether to pre-load the cache file before learning (warm start).
-    /// With a fully matching cache a warm run issues zero fresh SUL
-    /// symbols yet learns a bit-identical model, because the cache answers
-    /// queries exactly as the (deterministic) SUL would.  When `false` the
-    /// run learns cold but still persists its observations afterwards.
-    pub warm_start: bool,
     /// How the learner drives sift queries: [`SiftStrategy::Wavefront`]
     /// (default) advances every pending word one discrimination-tree level
     /// per membership batch, so the session engine sees batches of
@@ -129,7 +128,6 @@ impl Default for LearnConfig {
             max_inflight: 1,
             eq_batch_size: DEFAULT_EQ_BATCH_SIZE,
             cache_path: None,
-            warm_start: true,
             sift: SiftStrategy::default(),
         }
     }
@@ -151,9 +149,8 @@ impl LearnConfig {
         self
     }
 
-    /// Returns the configuration persisting (and, unless disabled via
-    /// [`LearnConfig::warm_start`], consuming) the observation cache at
-    /// `path`.
+    /// Returns the configuration consuming and persisting the observation
+    /// cache at `path`.
     pub fn with_cache_path(mut self, path: impl Into<String>) -> Self {
         self.cache_path = Some(path.into());
         self
@@ -199,6 +196,14 @@ pub struct ParallelLearnOutcome<S> {
     /// clock advances.  `engine.virtual_elapsed()` is the denominator of
     /// virtual-time throughput in the benchmarks.
     pub engine: EngineStats,
+    /// The full observation trie at the end of the run (warm trie ∪ primed
+    /// answers ∪ the learner's own queries) — what a [`Learn::seeded`]
+    /// caller persists into its own store.
+    pub trie: PrefixTrie,
+    /// Distinct queries the SUL answered while replaying the
+    /// [`Learn::seeded`] priming words (0 without priming, or when the
+    /// warm trie already covered every priming word).
+    pub prime_misses: u64,
 }
 
 impl<S: HasOracleTable> ParallelLearnOutcome<S> {
@@ -226,11 +231,10 @@ fn equivalence_oracle(config: &LearnConfig) -> RandomWordOracle {
 
 /// Loads the persisted observation trie for this (SUL, alphabet) pair
 /// from the journaled store.  Returns an empty trie when persistence is
-/// off, warm start is disabled, the SUL is uncacheable, or the store has
-/// no entry for the key.
+/// off, the SUL is uncacheable, or the store has no entry for the key.
 fn warm_trie(config: &LearnConfig, cache_key: Option<&str>, alphabet: &Alphabet) -> PrefixTrie {
     match (&config.cache_path, cache_key) {
-        (Some(path), Some(key)) if config.warm_start => {
+        (Some(path), Some(key)) => {
             let key = StoreKey::new(key, "", alphabet);
             JournalStore::load_matching(path, &key).unwrap_or_default()
         }
@@ -312,20 +316,9 @@ pub fn learn_model<S: Sul>(sul: &mut S, alphabet: &Alphabet, config: LearnConfig
     learned
 }
 
-/// Learns a Mealy model over `alphabet` with `config.workers` parallel
-/// session workers, each multiplexing `config.max_inflight` concurrent
-/// query sessions minted by `factory` on a virtual clock.
-///
-/// With a fixed seed the learned model — and every query-cost statistic
-/// (`fresh_symbols`, `equivalence_tests`, `membership_queries`) — is
-/// identical to [`learn_model`]'s on a SUL from the same factory, for any
-/// `(workers, max_inflight)`: membership answers are pure and equivalence
-/// oracles resolve the first mismatch in suite order, so scheduling moves
-/// only virtual time.  The observation cache (see [`learn_model`]) is
-/// likewise configuration-independent.
-///
-/// A panicking worker (or learner) surfaces as a [`LearnError`] instead of
-/// poisoning the calling thread.
+/// Learns a Mealy model over `alphabet` with SUL sessions minted by
+/// `factory` — the default [`Learn`]: a private engine pool, no event
+/// sink, the observation cache at `config.cache_path` (if any).
 pub fn learn_model_parallel<F>(
     factory: &F,
     alphabet: &Alphabet,
@@ -335,190 +328,130 @@ where
     F: SessionSulFactory,
     F::Session: Send + 'static,
 {
-    let parallel =
-        ParallelSulOracle::spawn_with(factory, config.workers.max(1), config.max_inflight.max(1));
-    learn_on_oracle(parallel, factory, alphabet, &config)
+    Learn::new(config).run(factory, alphabet)
 }
 
-/// [`learn_model_parallel`] with a structured event sink attached: wire,
-/// session, phase and speculation events flow into `sink` as the run
-/// executes (see [`prognosis_events`]).  With `diagnostics` false the sink
-/// receives only the deterministic stream, which is byte-identical across
-/// `(workers, max_inflight)` configurations for a fixed scenario.
-pub fn learn_model_parallel_with_events<F>(
-    factory: &F,
-    alphabet: &Alphabet,
-    config: LearnConfig,
-    sink: Arc<dyn EventSink>,
-    diagnostics: bool,
-) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    let parallel = ParallelSulOracle::spawn_with_events(
-        factory,
-        config.workers.max(1),
-        config.max_inflight.max(1),
-        Some(sink),
-        diagnostics,
-    );
-    learn_on_oracle(parallel, factory, alphabet, &config)
-}
-
-/// [`learn_model_parallel`] over a *shared* [`EnginePool`]: the run's
-/// `config.workers` worker loops are leased from `pool` (blocking until
-/// that many slots are free) instead of spawning private threads, so
-/// several concurrent learning runs — a campaign's matrix cells — share
-/// one set of engine threads.  Results are identical to
-/// [`learn_model_parallel`] with the same configuration.
-pub fn learn_model_parallel_on<F>(
-    pool: &EnginePool,
-    factory: &F,
-    alphabet: &Alphabet,
-    config: LearnConfig,
-) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    let parallel = ParallelSulOracle::spawn_on_pool(
-        pool,
-        factory,
-        config.workers.max(1),
-        config.max_inflight.max(1),
-    );
-    learn_on_oracle(parallel, factory, alphabet, &config)
-}
-
-fn learn_on_oracle<F>(
-    parallel: ParallelSulOracle<F::Session>,
-    factory: &F,
-    alphabet: &Alphabet,
-    config: &LearnConfig,
-) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    // A throwaway session reports the cache key; every session from the
-    // same factory shares it (the determinism property of §3.2).
-    let cache_key = factory.create_session().cache_key();
-    let warm = warm_trie(config, cache_key.as_deref(), alphabet);
-    let membership = CacheOracle::with_trie(parallel, warm);
-    let (learned, parallel, trie, _) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_learner(alphabet, config, membership, &[])
-    })) {
-        Ok(parts) => parts,
-        Err(payload) => return Err(learn_error_from_panic(payload)),
-    };
-    persist_trie(config, cache_key.as_deref(), alphabet, &trie);
-    let sul_stats = parallel.stats();
-    let EngineShutdown { suls, engine } = parallel.shutdown()?;
-    Ok(ParallelLearnOutcome {
-        learned,
-        suls,
-        sul_stats,
-        engine,
-    })
-}
-
-/// The result of a seeded learning run ([`learn_model_parallel_seeded`]):
-/// the regular parallel outcome plus the final observation trie and the
-/// cache-priming accounting the campaign's versioned store needs.
-pub struct SeededLearnOutcome<S> {
-    /// The regular parallel learning outcome.
-    pub outcome: ParallelLearnOutcome<S>,
-    /// The full observation trie at the end of the run (warm seed ∪ primed
-    /// answers ∪ the learner's own queries) — what the caller persists into
-    /// its shared store.
-    pub trie: PrefixTrie,
-    /// Number of seed words replayed before learning started.
-    pub primed_words: u64,
-    /// Distinct queries the SUL answered *during priming* (0 when the warm
-    /// trie already covered every seed word).
-    pub prime_misses: u64,
-    /// Distinct queries the SUL answered *after* priming — the learner
-    /// queries the primed cache did not cover.  `1 − learn_misses /
-    /// distinct_queries` is the cross-version cache hit rate.
-    pub learn_misses: u64,
-}
-
-/// Campaign-shape learning: runs on a shared [`EnginePool`] with a
-/// caller-supplied warm trie and an explicit set of *priming* words, and
-/// hands the final trie back instead of persisting it — the caller (the
-/// campaign runner's versioned shared cache) owns persistence.
+/// A parallel learning run: `config.workers` session workers, each
+/// multiplexing `config.max_inflight` concurrent query sessions on a
+/// virtual clock, assembled from optional resources:
 ///
-/// `warm` must answer queries exactly as this factory's SULs would (same
-/// cache key — the usual warm-start soundness rule).  `prime` may be any
-/// word list; the words are replayed against this run's own SULs as one
-/// batch before the learner starts, so a *sibling version's* query set can
-/// seed this version's cache soundly: shared behaviour becomes warm
-/// entries, divergent behaviour shows up as differing answers the caller
-/// diffs into regression findings.
-pub fn learn_model_parallel_seeded<F>(
-    pool: &EnginePool,
-    factory: &F,
-    alphabet: &Alphabet,
-    config: &LearnConfig,
-    warm: PrefixTrie,
-    prime: &[InputWord],
-) -> Result<SeededLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    learn_model_parallel_seeded_with_events(pool, factory, alphabet, config, warm, prime, None)
+/// ```text
+/// Learn::new(config)
+///     .on_pool(&pool)                    // lease workers from a shared pool
+///     .with_events(sink, diagnostics)    // stream engine telemetry
+///     .seeded(warm, &prime)              // caller-owned warm trie + priming
+///     .run(&factory, &alphabet)
+/// ```
+///
+/// With a fixed seed the learned model — and every query-cost statistic
+/// (`fresh_symbols`, `equivalence_tests`, `membership_queries`) — is
+/// identical to [`learn_model`]'s on a SUL from the same factory, for any
+/// `(workers, max_inflight)` and any of the options: membership answers
+/// are pure and equivalence oracles resolve the first mismatch in suite
+/// order, so scheduling moves only virtual time.
+pub struct Learn<'a> {
+    config: LearnConfig,
+    pool: Option<&'a EnginePool>,
+    events: Option<(Arc<dyn EventSink>, bool)>,
+    seed: Option<(PrefixTrie, &'a [InputWord])>,
 }
 
-/// [`learn_model_parallel_seeded`] with an optional structured event sink:
-/// the campaign runner threads its shared sink (diagnostics enabled)
-/// through here so every cell's engine traffic lands in one log.
-#[allow(clippy::too_many_arguments)]
-pub fn learn_model_parallel_seeded_with_events<F>(
-    pool: &EnginePool,
-    factory: &F,
-    alphabet: &Alphabet,
-    config: &LearnConfig,
-    warm: PrefixTrie,
-    prime: &[InputWord],
-    sink: Option<Arc<dyn EventSink>>,
-) -> Result<SeededLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    let parallel = ParallelSulOracle::spawn_on_pool_with_events(
-        pool,
-        factory,
-        config.workers.max(1),
-        config.max_inflight.max(1),
-        sink,
-        true,
-    );
-    let membership = CacheOracle::with_trie(parallel, warm);
-    let (learned, parallel, trie, prime_misses) =
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_learner(alphabet, config, membership, prime)
-        })) {
-            Ok(parts) => parts,
-            Err(payload) => return Err(learn_error_from_panic(payload)),
+impl<'a> Learn<'a> {
+    /// A learn with `config` on a private engine pool, no event sink, and
+    /// the observation cache at `config.cache_path` (if any).
+    pub fn new(config: LearnConfig) -> Self {
+        Learn {
+            config,
+            pool: None,
+            events: None,
+            seed: None,
+        }
+    }
+
+    /// Leases the run's `config.workers` worker loops from a *shared*
+    /// `pool` (blocking until that many slots are free) instead of
+    /// spawning private threads, so several concurrent learning runs — a
+    /// campaign's matrix cells — share one set of engine threads.
+    pub fn on_pool(mut self, pool: &'a EnginePool) -> Self {
+        self.pool = Some(pool);
+        self
+    }
+
+    /// Attaches a structured event sink: wire, session, phase and
+    /// speculation events flow into `sink` as the run executes (see
+    /// [`prognosis_events`]).  With `diagnostics` false the sink receives
+    /// only the deterministic stream, which is byte-identical across
+    /// `(workers, max_inflight)` configurations for a fixed scenario.
+    pub fn with_events(mut self, sink: Arc<dyn EventSink>, diagnostics: bool) -> Self {
+        self.events = Some((sink, diagnostics));
+        self
+    }
+
+    /// Starts from a caller-supplied `warm` trie and replays the `prime`
+    /// words as one batch before the learner starts; the caller owns
+    /// persistence, so `config.cache_path` is neither read nor written.
+    ///
+    /// `warm` must answer queries exactly as this factory's SULs would
+    /// (same cache key — the usual warm-start soundness rule).  `prime`
+    /// may be any word list: it is answered by this run's own SULs, so a
+    /// *sibling version's* query set can seed this version's cache
+    /// soundly — shared behaviour becomes warm entries, divergent
+    /// behaviour shows up as differing answers the caller diffs into
+    /// regression findings.
+    pub fn seeded(mut self, warm: PrefixTrie, prime: &'a [InputWord]) -> Self {
+        self.seed = Some((warm, prime));
+        self
+    }
+
+    /// Runs the learn over `alphabet` with SUL sessions minted by
+    /// `factory`.  A panicking worker (or learner) surfaces as a
+    /// [`LearnError`] instead of poisoning the calling thread.
+    pub fn run<F>(
+        self,
+        factory: &F,
+        alphabet: &Alphabet,
+    ) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
+    where
+        F: SessionSulFactory,
+        F::Session: Send + 'static,
+    {
+        let config = self.config;
+        let parallel = ParallelSulOracle::spawn_on(
+            self.pool,
+            factory,
+            config.workers.max(1),
+            config.max_inflight.max(1),
+            self.events,
+        );
+        let (warm, prime, cache_key) = match self.seed {
+            Some((warm, prime)) => (warm, prime, None),
+            None => {
+                // A throwaway session reports the cache key; every session
+                // from the same factory shares it (the determinism property
+                // of §3.2).
+                let cache_key = factory.create_session().cache_key();
+                let warm = warm_trie(&config, cache_key.as_deref(), alphabet);
+                (warm, &[][..], cache_key)
+            }
         };
-    let sul_stats = parallel.stats();
-    let EngineShutdown { suls, engine } = parallel.shutdown()?;
-    let learn_misses = (learned.distinct_queries as u64).saturating_sub(prime_misses);
-    Ok(SeededLearnOutcome {
-        outcome: ParallelLearnOutcome {
+        let membership = CacheOracle::with_trie(parallel, warm);
+        let (learned, parallel, trie, prime_misses) =
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_learner(alphabet, &config, membership, prime)
+            }))
+            .map_err(learn_error_from_panic)?;
+        persist_trie(&config, cache_key.as_deref(), alphabet, &trie);
+        let sul_stats = parallel.stats();
+        let EngineShutdown { suls, engine } = parallel.shutdown()?;
+        Ok(ParallelLearnOutcome {
             learned,
             suls,
             sul_stats,
             engine,
-        },
-        trie,
-        primed_words: prime.len() as u64,
-        prime_misses,
-        learn_misses,
-    })
+            trie,
+            prime_misses,
+        })
+    }
 }
 
 /// Renders a panic payload for error reporting: string payloads verbatim,

@@ -14,7 +14,7 @@
 
 use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
-use prognosis_core::pipeline::{learn_model_parallel_with_events, LearnConfig, SiftStrategy};
+use prognosis_core::pipeline::{Learn, LearnConfig, SiftStrategy};
 use prognosis_core::session::{SessionSulFactory, SimDuration};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSulFactory};
 use prognosis_events::{EventSink, MemorySink};
@@ -38,16 +38,14 @@ where
     F::Session: Send + 'static,
 {
     let sink = Arc::new(MemorySink::new());
-    learn_model_parallel_with_events(
-        factory,
-        &tcp_alphabet(),
+    Learn::new(
         engine_config()
             .with_workers(workers)
             .with_max_inflight(max_inflight)
             .with_sift(sift),
-        Arc::clone(&sink) as Arc<dyn EventSink>,
-        false,
     )
+    .with_events(Arc::clone(&sink) as Arc<dyn EventSink>, false)
+    .run(factory, &tcp_alphabet())
     .expect("parallel learning succeeds");
     sink.contents()
 }

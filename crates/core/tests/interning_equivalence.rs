@@ -14,8 +14,7 @@
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
-use prognosis_core::pipeline::learn_model_parallel_with_events;
-use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig};
+use prognosis_core::pipeline::{learn_model, learn_model_parallel, Learn, LearnConfig};
 use prognosis_core::session::SimDuration;
 use prognosis_core::sul::{Sul, SulStats};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
@@ -74,14 +73,10 @@ fn run_at(lossy: bool, workers: usize, max_inflight: usize) -> RunFingerprint {
         config = config.with_cache_path(cache.to_string_lossy().into_owned());
     }
     let sink = Arc::new(MemorySink::new());
-    let outcome = learn_model_parallel_with_events(
-        &factory,
-        &tcp_alphabet(),
-        config,
-        Arc::clone(&sink) as Arc<dyn EventSink>,
-        false,
-    )
-    .expect("parallel learning succeeds");
+    let outcome = Learn::new(config)
+        .with_events(Arc::clone(&sink) as Arc<dyn EventSink>, false)
+        .run(&factory, &tcp_alphabet())
+        .expect("parallel learning succeeds");
     let trie_paths = cache.map(|cache| {
         let key = StoreKey::new(
             TcpSul::with_defaults()

@@ -51,9 +51,10 @@
 //! file lock on a `<store>.lock` sidecar, so it holds across processes as
 //! well as threads), and every mutating call re-syncs from the file first
 //! (tail replay when it grew, full replay when it was compacted or
-//! replaced).  Many handles — one per campaign task, or one per process
-//! sharing a store — append deltas without a load-merge-rewrite critical
-//! section and without losing each other's observations.  Readers take no
+//! replaced — told apart by the file's identity, not by its length).
+//! Many handles — one per campaign task, or one per process sharing a
+//! store — append deltas without a load-merge-rewrite critical section
+//! and without losing each other's observations.  Readers take no
 //! lock and clone `Arc` snapshots; a warm snapshot is shared, never
 //! copied.  Replayed tries depend only on file content, so warm-started
 //! learns stay bit-identical to cold ones.
@@ -71,7 +72,8 @@ use crate::trie::{PathCoverage, PrefixTrie};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::word::{InputWord, OutputWord};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Seek, SeekFrom, Write};
+use std::fs::{File, Metadata};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -344,6 +346,11 @@ struct State {
     /// for a different key must write a fresh header first.
     last_header_key: Option<StoreKey>,
     source: StoreFormat,
+    /// The file the state was synced from, held open: appends keep its
+    /// identity, a rewrite by another handle (rename over the path)
+    /// replaces it, and holding it stops the OS from reusing its inode for
+    /// a later file at the path.
+    synced_file: Option<File>,
 }
 
 impl State {
@@ -354,6 +361,7 @@ impl State {
             record_frames: 0,
             last_header_key: None,
             source: StoreFormat::Absent,
+            synced_file: None,
         }
     }
 
@@ -447,8 +455,10 @@ impl JournalStore {
     /// loads its sound prefix.  Pure loads never modify the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheError> {
         let path = path.as_ref().to_path_buf();
-        let mut state = State::empty();
-        read_into(&mut state, &path)?;
+        let state = match open_existing(&path)? {
+            Some(file) => replay_all(file)?,
+            None => State::empty(),
+        };
         Ok(JournalStore {
             path,
             state: Mutex::new(state),
@@ -719,77 +729,93 @@ impl JournalStore {
     }
 }
 
-/// Reads the file at `path` into `state` (full replay).  A missing file,
-/// or one that is not a journal, leaves the state empty.
-fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            *state = State::empty();
-            return Ok(());
-        }
-        Err(e) => return Err(e.into()),
-    };
+/// Opens the file at `path` for reading, or `None` when it does not exist.
+fn open_existing(path: &Path) -> Result<Option<File>, CacheError> {
+    match File::open(path) {
+        Ok(file) => Ok(Some(file)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// A full replay of `file`, which the state then holds as its synced file.
+/// A file that is not a journal replays as the empty state.
+fn replay_all(mut file: File) -> Result<State, CacheError> {
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
     if !bytes.starts_with(JOURNAL_MAGIC) {
         // Not a journal — an old JSON cache, corrupt beyond its magic,
         // hand-edited, whatever: it loads as empty and is *replaced* by
         // the first write.  A cache only ever accelerates.
-        *state = State::empty();
-        return Ok(());
+        return Ok(State::empty());
     }
     let mut replay = ReplayState::empty();
     let good_len = replay.replay_frames(&bytes, JOURNAL_MAGIC.len());
-    *state = State {
+    Ok(State {
         entries: replay.entries,
         synced_len: good_len as u64,
         record_frames: replay.record_frames,
         last_header_key: replay.last_header_key,
         source: StoreFormat::Journal,
-    };
-    Ok(())
+        synced_file: Some(file),
+    })
 }
 
-/// Brings `state` up to date with the file before a mutation.  Same
-/// length and source ⇒ already synced; a grown journal gets a cheap tail
-/// replay from the synced offset; anything else (shrunk, replaced) gets a
-/// full re-read.
+/// Whether two metadata snapshots describe the same file.  Off Unix the
+/// identity is unknown, so every resync replays the whole file.
+#[cfg(unix)]
+fn same_file(a: &Metadata, b: &Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    a.dev() == b.dev() && a.ino() == b.ino()
+}
+
+#[cfg(not(unix))]
+fn same_file(_: &Metadata, _: &Metadata) -> bool {
+    false
+}
+
+/// Brings `state` up to date with the file before a mutation.  The same
+/// file at a length of at least the synced one is unchanged or grew by
+/// appends, which get a tail replay from the synced offset; anything else
+/// — shrunk, or a different file because another handle rewrote the
+/// store — gets a full replay.  Comparing identity rather than length
+/// matters: tail-replaying a rewritten file would credit its frames to
+/// this handle's stale segment key and append into the wrong segment.
 fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
-    let file_len = match std::fs::metadata(path) {
-        Ok(meta) => meta.len(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            *state = State::empty();
-            return Ok(());
-        }
-        Err(e) => return Err(e.into()),
-    };
-    if state.source == StoreFormat::Journal && file_len == state.synced_len {
+    let Some(mut file) = open_existing(path)? else {
+        *state = State::empty();
         return Ok(());
-    }
-    if state.source == StoreFormat::Journal && file_len > state.synced_len {
+    };
+    let meta = file.metadata()?;
+    let appended_only = state.source == StoreFormat::Journal
+        && meta.len() >= state.synced_len
+        && match &state.synced_file {
+            Some(synced) => same_file(&synced.metadata()?, &meta),
+            None => false,
+        };
+    if !appended_only {
+        *state = replay_all(file)?;
+    } else if meta.len() > state.synced_len {
         // The journal grew (another handle appended): replay just the
         // tail.  Frame boundaries are stable because every writer appends
         // at its synced offset under the same writer lock.
-        let bytes = std::fs::read(path)?;
-        if bytes.starts_with(JOURNAL_MAGIC) && bytes.len() as u64 == file_len {
-            let mut replay = ReplayState {
-                entries: std::mem::take(&mut state.entries),
-                last_header_key: state.last_header_key.take(),
-                record_frames: state.record_frames,
-                contradictions: 0,
-                interner: HashMap::new(),
-            };
-            let good_len = replay.replay_frames(&bytes, state.synced_len as usize);
-            *state = State {
-                entries: replay.entries,
-                synced_len: good_len as u64,
-                record_frames: replay.record_frames,
-                last_header_key: replay.last_header_key,
-                source: StoreFormat::Journal,
-            };
-            return Ok(());
-        }
+        let mut tail = Vec::new();
+        file.seek(SeekFrom::Start(state.synced_len))?;
+        file.read_to_end(&mut tail)?;
+        let mut replay = ReplayState {
+            entries: std::mem::take(&mut state.entries),
+            last_header_key: state.last_header_key.take(),
+            record_frames: state.record_frames,
+            contradictions: 0,
+            interner: HashMap::new(),
+        };
+        let good_len = replay.replay_frames(&tail, 0);
+        state.entries = replay.entries;
+        state.synced_len += good_len as u64;
+        state.record_frames = replay.record_frames;
+        state.last_header_key = replay.last_header_key;
     }
-    read_into(state, path)
+    Ok(())
 }
 
 /// Appends `bytes` at `offset`, truncating any torn tail past it first,
@@ -829,6 +855,9 @@ fn rewrite(state: &mut State, path: &Path) -> Result<(), CacheError> {
         last_key = Some(key.clone());
     }
     atomic_write_durable(path, &bytes)?;
+    // Under the writer lock the renamed file is this one; should reopening
+    // fail, the next resync just replays the whole file.
+    state.synced_file = File::open(path).ok();
     state.synced_len = bytes.len() as u64;
     state.record_frames = records;
     state.last_header_key = last_key;

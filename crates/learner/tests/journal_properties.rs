@@ -1,9 +1,11 @@
 //! Property and stress tests for the journaled observation store: the
 //! binary record codec round-trips arbitrary consistent path sets, a
 //! journal truncated mid-record (a crash's torn tail) replays to exactly
-//! the records before the tear, and many threads — or two processes —
+//! the records before the tear, many threads — or two processes —
 //! appending through separate handles to one shared store lose no
-//! observations and produce bit-identical warm tries.
+//! observations and produce bit-identical warm tries, and a handle whose
+//! store another handle rewrote re-reads it instead of appending into a
+//! foreign segment.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -194,6 +196,59 @@ fn eight_thread_shared_store_loses_nothing() {
             "thread {t}'s warm trie must be bit-identical to what it wrote"
         );
     }
+    assert!(JournalStore::verify(&path).unwrap().is_clean());
+    std::fs::remove_file(&path).ok();
+}
+
+/// A handle that synced before another handle *rewrote* the store into a
+/// longer file must not mistake the rewrite for appended frames.  Handle
+/// A syncs a one-path `v1` store; handle B replaces it with a `v2`-only
+/// journal (`RetainPolicy::OnlyThisKey` rewrites through an atomic rename)
+/// whose first record is byte-identical to A's, so A's old offset lands on
+/// a frame boundary of B's file; A then saves one more `v1` path.  A must
+/// re-read the file, not tail-replay B's records into its stale `v1`
+/// segment and append its own record inside B's `v2` segment.
+#[test]
+fn stale_handle_rereads_a_store_rewritten_by_another_handle() {
+    let path = tmp_path("stale-handle");
+    std::fs::remove_file(&path).ok();
+    let alphabet = Alphabet::from_symbols(SYMBOLS);
+    let v1 = StoreKey::new("sul-stale", "v1", &alphabet);
+    let v2 = StoreKey::new("sul-stale", "v2", &alphabet);
+    JournalStore::save_merged_at(
+        &path,
+        &v1,
+        &trie_from_words(&[vec![0, 1]]),
+        RetainPolicy::All,
+    )
+    .unwrap();
+    let a = JournalStore::open(&path).unwrap();
+    let a_len = std::fs::metadata(&path).unwrap().len();
+
+    let b_words: Vec<Vec<usize>> = std::iter::once(vec![0, 1])
+        .chain((0..32).map(|i| vec![1 + i % 3, (i / 3) % 4, i / 12]))
+        .collect();
+    let b_trie = trie_from_words(&b_words);
+    JournalStore::open(&path)
+        .unwrap()
+        .save_merged(&v2, &b_trie, RetainPolicy::OnlyThisKey)
+        .unwrap();
+    assert!(std::fs::metadata(&path).unwrap().len() > a_len);
+
+    let a_trie = trie_from_words(&[vec![0, 1], vec![0, 2]]);
+    a.save_merged(&v1, &a_trie, RetainPolicy::All).unwrap();
+
+    let store = JournalStore::open(&path).unwrap();
+    assert_eq!(
+        store.snapshot(&v1).expect("v1 survives A's save").paths(),
+        a_trie.paths(),
+        "v1 holds exactly both of A's paths"
+    );
+    assert_eq!(
+        store.snapshot(&v2).expect("v2 survives A's save").paths(),
+        b_trie.paths(),
+        "v2 holds exactly B's paths"
+    );
     assert!(JournalStore::verify(&path).unwrap().is_clean());
     std::fs::remove_file(&path).ok();
 }
