@@ -1538,8 +1538,8 @@ fn phase_json(stats: &PhaseStats, max_inflight: u64) -> serde_json::Value {
 /// occupancy > 0.5 (serial construction idles at ~`1/max_inflight`) and is
 /// ≥ 4× faster in construction-phase virtual time.  `quick` runs at
 /// `max_inflight` = 16 for the CI smoke step; the full run uses 64.
-/// Returns the `sift_wavefront` scenario (per-phase occupancy, batch-size
-/// histograms, adaptive-limit events) for `BENCH_learning.json`.
+/// Returns the `sift_wavefront` scenario (per-phase occupancy and batch
+/// counts, adaptive-limit events) for `BENCH_learning.json`.
 pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
     let step_rtt = SimDuration::from_micros(50);
     let reset_rtt = SimDuration::from_micros(100);
@@ -1676,21 +1676,6 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
              while those batches keep it saturated and shrinks it for small windows",
         );
 
-    let histogram_json = |engine: &EngineStats| {
-        serde_json::Value::Map(
-            engine
-                .batch_size_histogram
-                .iter()
-                .enumerate()
-                .filter(|(_, count)| **count > 0)
-                .map(|(bucket, count)| {
-                    let lo = 1u64 << bucket;
-                    let hi = (1u64 << (bucket + 1)) - 1;
-                    (format!("{lo}-{hi}"), serde_json::Value::U64(*count))
-                })
-                .collect(),
-        )
-    };
     let run_json = |outcome: &prognosis_core::pipeline::ParallelLearnOutcome<
         prognosis_core::latency::LatencySul<TcpSul>,
     >,
@@ -1726,20 +1711,12 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
                 phase_json(&outcome.engine.equivalence, cap),
             ),
             (
-                "batch_size_histogram".to_string(),
-                histogram_json(&outcome.engine),
-            ),
-            (
                 "limit_grows".to_string(),
                 serde_json::Value::U64(outcome.engine.limit_grows),
             ),
             (
                 "limit_shrinks".to_string(),
                 serde_json::Value::U64(outcome.engine.limit_shrinks),
-            ),
-            (
-                "occupancy_timeline_samples".to_string(),
-                serde_json::Value::U64(outcome.engine.occupancy_timeline.len() as u64),
             ),
         ])
     };

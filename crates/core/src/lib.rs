@@ -70,9 +70,8 @@ pub use pipeline::{
 };
 pub use quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul, QuicSulFactory};
 pub use session::{
-    BlockingSession, BlockingSessionFactory, EngineStats, SchedulerStats, SessionPoll,
-    SessionScheduler, SessionSul, SessionSulFactory, SharedClock, SimDuration, SimTime,
-    TimedSession, TimedSul,
+    BlockingSession, BlockingSessionFactory, EngineStats, SessionPoll, SessionScheduler,
+    SessionSul, SessionSulFactory, SharedClock, SimDuration, SimTime, TimedSession, TimedSul,
 };
 pub use sul::{replay_query, Sul, SulFactory, SulMembershipOracle, SulStats};
 pub use tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};

@@ -18,8 +18,8 @@
 use crate::engine::EnginePool;
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
-    add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
-    SessionSulFactory, SimTime,
+    add_stats, phase_name, EngineStats, QueryPhase, SessionScheduler, SessionSul,
+    SessionSulFactory, SimTime, ALL_PHASES,
 };
 use crate::sul::SulStats;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -56,7 +56,7 @@ enum Reply {
     Answers {
         worker: usize,
         answers: Vec<(u64, OutputWord)>,
-        snapshot: WorkerSnapshot,
+        snapshot: Box<WorkerSnapshot>,
     },
     /// A worker's session panicked; the message is the panic payload.
     Dead { worker: usize, message: String },
@@ -209,12 +209,12 @@ enum WorkerCommand {
 #[derive(Clone, Copy, Default)]
 struct WorkerSnapshot {
     sul: SulStats,
-    scheduler: SchedulerStats,
+    engine: EngineStats,
 }
 
 /// What a finished worker loop reports back: its sessions and final stats,
 /// or the panic payload that killed it.
-type WorkerResult<Sn> = std::thread::Result<(Vec<Sn>, SchedulerStats)>;
+type WorkerResult<Sn> = std::thread::Result<(Vec<Sn>, EngineStats)>;
 
 struct Worker<Sn> {
     result_rx: Receiver<WorkerResult<Sn>>,
@@ -242,15 +242,13 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// threads) after the workers have been drained.
     _owned_pool: Option<EnginePool>,
     max_inflight: usize,
-    queries: u64,
-    batches: u64,
     /// Phase the learner last announced via
     /// [`MembershipOracle::note_phase`]; blocking dispatches are attributed
     /// to it (async submissions carry their own per-query tag instead).
     current_phase: QueryPhase,
-    /// Dispatcher-side accumulators (batch-size histogram, occupancy
-    /// timeline, per-phase stats) that [`ParallelSulOracle::engine_stats`]
-    /// folds into the reported [`EngineStats`].
+    /// The engine's shape plus the dispatcher-side counters (per-phase
+    /// batches and queries, reply messages) that
+    /// [`ParallelSulOracle::engine_stats`] merges with the workers' records.
     telemetry: EngineStats,
     /// Async tickets submitted but not yet answered (or cancelled), with
     /// their speculative flag.
@@ -273,8 +271,8 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// Non-speculative async tickets in submission order, awaiting their
     /// delivery turn.
     delivery_queue: VecDeque<u64>,
-    /// (busy, virtual) totals at the previous telemetry sample — the delta
-    /// basis for async timeline samples.
+    /// (busy, virtual) totals at the previous `occupancy` event — the
+    /// delta basis for async dispatch groups.
     last_busy_virtual: (u64, u64),
     /// Query scopes flushed to the event stream so far (batch commits plus
     /// frontier flushes) — the logical clock [`PhaseEnter`] stamps.  Issued
@@ -473,10 +471,12 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             snapshots: vec![WorkerSnapshot::default(); num_workers],
             _owned_pool: owned_pool,
             max_inflight,
-            queries: 0,
-            batches: 0,
             current_phase: QueryPhase::default(),
-            telemetry: EngineStats::default(),
+            telemetry: EngineStats {
+                workers: num_workers as u64,
+                max_inflight: max_inflight as u64,
+                ..EngineStats::default()
+            },
             outstanding: std::collections::HashMap::new(),
             discard: BTreeSet::new(),
             async_ready: Vec::new(),
@@ -501,11 +501,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         self.max_inflight
     }
 
-    /// Number of batches dispatched so far.
-    pub fn batches_dispatched(&self) -> u64 {
-        self.batches
-    }
-
     /// Aggregated interaction counters across all worker sessions, as of
     /// the most recently answered batch.
     pub fn stats(&self) -> SulStats {
@@ -518,11 +513,9 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// Aggregated engine statistics, as of the most recently answered
     /// batch (final numbers come from [`ParallelSulOracle::shutdown`]).
     pub fn engine_stats(&self) -> EngineStats {
-        let mut engine = self.telemetry.clone();
-        engine.workers = self.workers.len() as u64;
-        engine.max_inflight = self.max_inflight as u64;
+        let mut engine = self.telemetry;
         for snapshot in &self.snapshots {
-            engine.absorb(&snapshot.scheduler);
+            engine.merge(&snapshot.engine);
         }
         engine
     }
@@ -532,13 +525,25 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     fn busy_virtual_snapshot(&self) -> (u64, u64) {
         self.snapshots
             .iter()
-            .map(|s| {
-                (
-                    s.scheduler.busy_session_micros,
-                    s.scheduler.virtual_elapsed_micros,
-                )
-            })
+            .map(|s| (s.engine.busy_session_micros, s.engine.worker_virtual_micros))
             .fold((0, 0), |(b, v), (sb, sv)| (b + sb, v + sv))
+    }
+
+    /// Counts one dispatched group of `batch` queries against `phase` and,
+    /// with a sink attached, emits its `occupancy` event: the (busy
+    /// session-µs, worker virtual-µs) the engine accrued over the window
+    /// closing at summed worker time `time`.
+    fn record_dispatch(&mut self, phase: QueryPhase, batch: u64, time: u64, window: (u64, u64)) {
+        self.telemetry.record_dispatch(phase, batch);
+        if let Some(events) = &self.events {
+            events.diagnostic(Event::Occupancy {
+                time,
+                phase: phase_name(phase),
+                batch,
+                busy: window.0,
+                worker: window.1,
+            });
+        }
     }
 
     /// Shuts the workers down, flushes every session (a final reset pushes
@@ -552,9 +557,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             q.shutdown = true;
         }
         self.shared.available.notify_all();
-        let mut engine = self.telemetry.clone();
-        engine.workers = self.workers.len() as u64;
-        engine.max_inflight = self.max_inflight as u64;
+        let mut engine = self.telemetry;
         let mut suls = Vec::with_capacity(self.workers.len() * self.max_inflight);
         for (worker_id, worker) in std::mem::take(&mut self.workers).into_iter().enumerate() {
             let (sessions, stats) = worker
@@ -567,7 +570,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                     worker: worker_id,
                     message: panic_message(payload.as_ref()),
                 })?;
-            engine.absorb(&stats);
+            engine.merge(&stats);
             for mut session in sessions {
                 session.start_reset(SimTime::ZERO);
                 suls.push(session.into_sul());
@@ -583,8 +586,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     }
 
     fn dispatch(&mut self, inputs: &[Arc<InputWord>]) -> Vec<OutputWord> {
-        self.batches += 1;
-        self.queries += inputs.len() as u64;
         let (busy_before, virtual_before) = self.busy_virtual_snapshot();
         let phase = self.current_phase;
         // A fresh id range per dispatch: the previous batch's scopes may
@@ -612,7 +613,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                     snapshot,
                 }) => {
                     self.telemetry.reply_messages += 1;
-                    self.snapshots[worker] = snapshot;
+                    self.snapshots[worker] = *snapshot;
                     for (id, output) in answers {
                         if id >= BATCH_ID_BASE {
                             let index = (id - base) as usize;
@@ -650,21 +651,15 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         }
         let (busy_after, virtual_after) = self.busy_virtual_snapshot();
         self.last_busy_virtual = (busy_after, virtual_after);
-        self.telemetry.record_dispatch(
-            self.current_phase,
+        self.record_dispatch(
+            phase,
             inputs.len() as u64,
-            busy_after.saturating_sub(busy_before),
-            virtual_after.saturating_sub(virtual_before),
+            virtual_after,
+            (
+                busy_after.saturating_sub(busy_before),
+                virtual_after.saturating_sub(virtual_before),
+            ),
         );
-        if let Some(events) = &self.events {
-            events.diagnostic(Event::Occupancy {
-                time: virtual_after,
-                phase: phase_name(self.current_phase),
-                batch: inputs.len() as u64,
-                busy: busy_after.saturating_sub(busy_before),
-                worker: virtual_after.saturating_sub(virtual_before),
-            });
-        }
         results
             .into_iter()
             .map(|out| out.expect("every query index answered"))
@@ -783,7 +778,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                         snapshot,
                     }) => {
                         self.telemetry.reply_messages += 1;
-                        self.snapshots[worker] = snapshot;
+                        self.snapshots[worker] = *snapshot;
                         for (id, output) in answers {
                             debug_assert!(id < BATCH_ID_BASE, "batch reply outside dispatch");
                             self.route_async_answer(id, output);
@@ -818,7 +813,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                     snapshot,
                 }) => {
                     self.telemetry.reply_messages += 1;
-                    self.snapshots[worker] = snapshot;
+                    self.snapshots[worker] = *snapshot;
                     for (id, output) in answers {
                         self.route_async_answer(id, output);
                     }
@@ -905,10 +900,10 @@ fn flush_answers<Sn: SessionSul>(
     let reply = Reply::Answers {
         worker: worker_id,
         answers: std::mem::take(banked),
-        snapshot: WorkerSnapshot {
+        snapshot: Box::new(WorkerSnapshot {
             sul: scheduler.sul_stats(),
-            scheduler: scheduler.stats(),
-        },
+            engine: scheduler.stats(),
+        }),
     };
     reply_tx.send(reply).is_ok()
 }
@@ -1051,7 +1046,10 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
     }
 
     fn queries_answered(&self) -> u64 {
-        self.queries
+        ALL_PHASES
+            .iter()
+            .map(|&phase| self.telemetry.phase(phase).queries)
+            .sum()
     }
 
     fn note_phase(&mut self, phase: QueryPhase) {
@@ -1069,11 +1067,10 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
         if queries.is_empty() {
             return self.drain_ready(false);
         }
-        self.queries += queries.len() as u64;
         let enqueued = queries.len();
-        // Telemetry: one sample per (phase, speculative-class) group; the
-        // busy/virtual delta since the last sample goes to the first group
-        // (the exact per-phase integrals come from the scheduler tags).
+        // One dispatch per phase group; the busy/virtual delta since the
+        // last `occupancy` event goes to the first group (the exact
+        // per-phase integrals come from the scheduler tags).
         let (busy_now, virtual_now) = self.busy_virtual_snapshot();
         let (busy_last, virtual_last) = self.last_busy_virtual;
         self.last_busy_virtual = (busy_now, virtual_now);
@@ -1081,12 +1078,10 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
             busy_now.saturating_sub(busy_last),
             virtual_now.saturating_sub(virtual_last),
         );
-        for phase in crate::session::ALL_PHASES {
+        for phase in ALL_PHASES {
             let count = queries.iter().filter(|q| q.phase == phase).count() as u64;
             if count > 0 {
-                self.batches += 1;
-                self.telemetry
-                    .record_dispatch(phase, count, delta.0, delta.1);
+                self.record_dispatch(phase, count, virtual_now, delta);
                 delta = (0, 0);
             }
         }
@@ -1322,7 +1317,7 @@ mod tests {
         assert_eq!(out, known::toggle().run(&word).unwrap());
         assert_eq!(parallel.stats().symbols_sent, 3);
         assert_eq!(parallel.stats().resets, 1);
-        assert_eq!(parallel.batches_dispatched(), 1);
+        assert_eq!(parallel.engine_stats().construction.batches, 1);
         let suls = parallel.shutdown().expect("clean shutdown").suls;
         assert_eq!(suls.len(), 2);
         assert_eq!(suls.iter().map(|s| s.stats().symbols_sent).sum::<u64>(), 3);
@@ -1333,7 +1328,7 @@ mod tests {
         let factory = session_factory(known::toggle());
         let mut parallel = ParallelSulOracle::spawn_with(&factory, 3, 1);
         assert!(parallel.query_batch(&[]).is_empty());
-        assert_eq!(parallel.batches_dispatched(), 0);
+        assert_eq!(parallel.engine_stats().construction.batches, 0);
     }
 
     #[test]
@@ -1352,12 +1347,6 @@ mod tests {
         assert_eq!(engine.equivalence.batches, 1);
         assert_eq!(engine.equivalence.queries, 3);
         assert_eq!(engine.counterexample.batches, 0);
-        // Bucket 2 holds sizes 4..=7, bucket 1 sizes 2..=3.
-        assert_eq!(engine.batch_size_histogram[2], 1);
-        assert_eq!(engine.batch_size_histogram[1], 1);
-        assert_eq!(engine.occupancy_timeline.len(), 2);
-        assert_eq!(engine.occupancy_timeline[0].phase, QueryPhase::Construction);
-        assert_eq!(engine.occupancy_timeline[1].batch_size, 3);
         // The 5-word batch saturated the 1-slot initial pool, so the
         // adaptive limit grew toward the 4-session cap.
         assert!(

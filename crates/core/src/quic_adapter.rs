@@ -178,7 +178,6 @@ impl QuicSul {
                 return (Symbol::new("{}"), now);
             }
         };
-        self.stats.concrete_packets_sent += 1;
         let input_fields = numeric_fields(&request_packet);
         let (responses, ready_at) =
             self.server
@@ -189,10 +188,7 @@ impl QuicSul {
         let mut decoded: Vec<(String, Vec<i64>)> = responses
             .iter()
             .filter_map(|d| self.client.absorb(d))
-            .map(|p| {
-                self.stats.concrete_packets_received += 1;
-                (ReferenceQuicClient::abstract_packet(&p), numeric_fields(&p))
-            })
+            .map(|p| (ReferenceQuicClient::abstract_packet(&p), numeric_fields(&p)))
             .collect();
         decoded.sort();
         let names: Vec<&str> = decoded.iter().map(|(n, _)| n.as_str()).collect();
@@ -260,7 +256,6 @@ impl WireSul for QuicSul {
                 WireRequest::Immediate(Symbol::new("{}"))
             }
             Ok((request_packet, wire)) => {
-                self.stats.concrete_packets_sent += 1;
                 self.current_inputs
                     .push((input.to_string(), numeric_fields(&request_packet)));
                 WireRequest::Datagram(wire)
@@ -291,7 +286,6 @@ impl WireSul for QuicSul {
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
         if let Some(packet) = self.client.absorb(datagram) {
-            self.stats.concrete_packets_received += 1;
             self.wire_responses.push((
                 ReferenceQuicClient::abstract_packet(&packet),
                 numeric_fields(&packet),

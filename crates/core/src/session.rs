@@ -256,76 +256,6 @@ impl<F: SulFactory> SessionSulFactory for BlockingSessionFactory<F> {
     }
 }
 
-/// Per-phase slice of one scheduler's in-flight integral.  Attribution is
-/// **per query**, from the [`QueryPhase`] tag each job carries: when the
-/// clock jumps by Δ, every in-flight job adds Δ to its own phase's
-/// `busy_micros`, every phase with at least one job in flight adds Δ to its
-/// `active_micros`, and — for those active phases — the *whole pool's*
-/// in-flight count × Δ accrues to `pool_busy_micros`.  This stays correct
-/// when two phases are in flight at once (speculative equivalence words
-/// overlapping construction), which a single global "current phase" flag
-/// cannot be.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhaseFlight {
-    /// In-flight session-microseconds of this phase's own queries.
-    pub busy_micros: u64,
-    /// Virtual microseconds during which at least one query of this phase
-    /// was in flight (the phase's own occupancy denominator).
-    pub active_micros: u64,
-    /// In-flight session-microseconds of the *whole pool* (any phase)
-    /// during this phase's active windows — the numerator of
-    /// [`PhaseStats::window_occupancy`], which asks "while this phase was
-    /// ongoing, did the pool stay full?".
-    pub pool_busy_micros: u64,
-}
-
-/// Occupancy and progress counters of one [`SessionScheduler`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedulerStats {
-    /// Queries completed by this scheduler.
-    pub queries_completed: u64,
-    /// Times the scheduler jumped its clock to the next deadline (one
-    /// "timer fire" of the event loop).
-    pub clock_advances: u64,
-    /// Integral of in-flight sessions over the virtual waits, in
-    /// session-microseconds: how much simulated round-trip time was kept
-    /// in flight (the quantity multiplexing exists to maximize).
-    pub busy_session_micros: u64,
-    /// Peak number of concurrently in-flight sessions.
-    pub peak_inflight: u64,
-    /// Virtual time elapsed on this scheduler's clock since construction.
-    pub virtual_elapsed_micros: u64,
-    /// Times the adaptive in-flight limit grew (saturated pulls).
-    pub limit_grows: u64,
-    /// Times the adaptive in-flight limit shrank (underfilled windows).
-    pub limit_shrinks: u64,
-    /// Per-query-tag flight integral for hypothesis-construction queries.
-    pub construction_flight: PhaseFlight,
-    /// Per-query-tag flight integral for counterexample probes.
-    pub counterexample_flight: PhaseFlight,
-    /// Per-query-tag flight integral for equivalence-suite queries.
-    pub equivalence_flight: PhaseFlight,
-}
-
-impl SchedulerStats {
-    /// The flight integral of one learning phase.
-    pub fn flight(&self, phase: QueryPhase) -> &PhaseFlight {
-        match phase {
-            QueryPhase::Construction => &self.construction_flight,
-            QueryPhase::Counterexample => &self.counterexample_flight,
-            QueryPhase::Equivalence => &self.equivalence_flight,
-        }
-    }
-
-    fn flight_mut(&mut self, phase: QueryPhase) -> &mut PhaseFlight {
-        match phase {
-            QueryPhase::Construction => &mut self.construction_flight,
-            QueryPhase::Counterexample => &mut self.counterexample_flight,
-            QueryPhase::Equivalence => &mut self.equivalence_flight,
-        }
-    }
-}
-
 /// The three learning phases, in a fixed order for iteration.
 pub const ALL_PHASES: [QueryPhase; 3] = [
     QueryPhase::Construction,
@@ -342,11 +272,16 @@ pub fn phase_name(phase: QueryPhase) -> &'static str {
     }
 }
 
-/// Per-learning-phase slice of the engine's dispatch accounting: how many
-/// batches/queries the phase issued and how much session time it kept in
-/// flight.  This is what makes the sift wavefront measurable — before it,
-/// the construction phase dispatched batches of 1 and its occupancy sat
-/// at ~`1/max_inflight`.
+/// Per-learning-phase slice of the engine's accounting: how many
+/// batches/queries the phase dispatched and how much session time it kept
+/// in flight.  The flight integrals are attributed **per query**, from the
+/// [`QueryPhase`] tag each job carries: when a scheduler's clock jumps by
+/// Δ, every in-flight job adds Δ to its own phase's `busy_micros`, every
+/// phase with a job in flight adds Δ to its `worker_micros` and the whole
+/// pool's in-flight count × Δ to its `pool_busy_micros`.  This stays exact
+/// when two phases are in flight at once (speculative equivalence words
+/// overlapping construction), which a single global "current phase" flag
+/// cannot be.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseStats {
     /// Membership batches dispatched during this phase.
@@ -407,32 +342,12 @@ impl PhaseStats {
     }
 }
 
-/// One dispatched batch in [`EngineStats::occupancy_timeline`]: which
-/// phase issued it, how large it was, and the busy/elapsed deltas it
-/// produced — enough to plot occupancy over the run and see the wavefront
-/// fill the pool round by round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OccupancySample {
-    /// Learning phase the batch belonged to.
-    pub phase: QueryPhase,
-    /// Number of queries in the dispatched batch.
-    pub batch_size: u64,
-    /// In-flight session-microseconds accrued while the batch ran.
-    pub busy_micros: u64,
-    /// Summed worker virtual-time advance while the batch ran.
-    pub worker_micros: u64,
-}
-
-/// Retained-sample budget for the occupancy timeline.  When a run
-/// produces more dispatches than this, the timeline is halved (every
-/// second retained sample dropped) and the sampling stride doubled, so
-/// long runs keep an approximately uniform **full-span** timeline instead
-/// of silently truncating the tail.  Exact aggregates always continue in
-/// the per-phase [`PhaseStats`].
-pub const OCCUPANCY_TIMELINE_CAP: usize = 4096;
-
-/// Aggregated engine statistics across all workers of a parallel oracle.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+/// The engine's statistics record: one worker's counters as reported by
+/// its [`SessionScheduler`], or a whole parallel oracle's after
+/// [`EngineStats::merge`] has folded its workers together.  The run's
+/// timeline and batch-size distribution are not kept here: they are the
+/// diagnostic `occupancy` events of the event stream.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Worker threads (schedulers).
     pub workers: u64,
@@ -461,21 +376,6 @@ pub struct EngineStats {
     /// economy of the batched return path (1.0 = one learner wake-up per
     /// query, the old per-answer regime).
     pub reply_messages: u64,
-    /// Histogram of dispatched batch sizes: bucket `i` counts batches of
-    /// `2^i ..= 2^(i+1)-1` queries.
-    pub batch_size_histogram: Vec<u64>,
-    /// Occupancy samples in dispatch order, one every
-    /// [`EngineStats::timeline_stride`] dispatches.  The retained count is
-    /// bounded by [`OCCUPANCY_TIMELINE_CAP`] via halve-and-downsample, so
-    /// the timeline always spans the whole run; aggregates in the phase
-    /// stats are always exact.
-    pub occupancy_timeline: Vec<OccupancySample>,
-    /// Current timeline sampling stride in dispatches (1 until the cap is
-    /// first hit, then doubled at each halving).
-    pub timeline_stride: u64,
-    /// Total dispatches seen by the timeline sampler (including ones that
-    /// fell between strides).
-    pub timeline_dispatches: u64,
     /// Dispatch accounting for hypothesis-construction queries.
     pub construction: PhaseStats,
     /// Dispatch accounting for counterexample-decomposition probes.
@@ -485,64 +385,34 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Folds one worker's scheduler counters into the aggregate, including
-    /// the per-query-tag phase flight integrals (which become the phases'
-    /// busy/worker/pool aggregates — exact even when phases overlap).
-    pub fn absorb(&mut self, s: &SchedulerStats) {
-        self.queries_completed += s.queries_completed;
-        self.clock_advances += s.clock_advances;
-        self.busy_session_micros += s.busy_session_micros;
-        self.peak_inflight = self.peak_inflight.max(s.peak_inflight);
-        self.virtual_elapsed_micros = self.virtual_elapsed_micros.max(s.virtual_elapsed_micros);
-        self.worker_virtual_micros += s.virtual_elapsed_micros;
-        self.limit_grows += s.limit_grows;
-        self.limit_shrinks += s.limit_shrinks;
+    /// Folds another record (typically one worker's) into this one:
+    /// counters, per-phase fields and `worker_virtual_micros` are summed,
+    /// while `peak_inflight` and the virtual makespan take the maximum.
+    /// The shape fields (`workers`, `max_inflight`) stay this record's.
+    pub fn merge(&mut self, other: &EngineStats) {
+        self.queries_completed += other.queries_completed;
+        self.clock_advances += other.clock_advances;
+        self.busy_session_micros += other.busy_session_micros;
+        self.peak_inflight = self.peak_inflight.max(other.peak_inflight);
+        self.virtual_elapsed_micros = self
+            .virtual_elapsed_micros
+            .max(other.virtual_elapsed_micros);
+        self.worker_virtual_micros += other.worker_virtual_micros;
+        self.limit_grows += other.limit_grows;
+        self.limit_shrinks += other.limit_shrinks;
+        self.reply_messages += other.reply_messages;
         for phase in ALL_PHASES {
-            let flight = s.flight(phase);
-            let stats = self.phase_mut(phase);
-            stats.busy_micros += flight.busy_micros;
-            stats.worker_micros += flight.active_micros;
-            stats.pool_busy_micros += flight.pool_busy_micros;
+            let (mine, theirs) = (self.phase_mut(phase), other.phase(phase));
+            mine.batches += theirs.batches;
+            mine.queries += theirs.queries;
+            mine.busy_micros += theirs.busy_micros;
+            mine.worker_micros += theirs.worker_micros;
+            mine.pool_busy_micros += theirs.pool_busy_micros;
         }
     }
 
-    /// Records one dispatched batch: histogram bucket, timeline sample and
-    /// per-phase batch/query counts.  The busy/worker deltas feed only the
-    /// timeline sample (a plotting aid); the exact per-phase busy/worker
-    /// aggregates come from the scheduler-side [`PhaseFlight`] integrals
-    /// folded in by [`EngineStats::absorb`].
-    pub fn record_dispatch(
-        &mut self,
-        phase: QueryPhase,
-        batch_size: u64,
-        busy_micros: u64,
-        worker_micros: u64,
-    ) {
-        let bucket = (u64::BITS - 1 - batch_size.max(1).leading_zeros()) as usize;
-        if self.batch_size_histogram.len() <= bucket {
-            self.batch_size_histogram.resize(bucket + 1, 0);
-        }
-        self.batch_size_histogram[bucket] += 1;
-        self.timeline_dispatches += 1;
-        let stride = self.timeline_stride.max(1);
-        if (self.timeline_dispatches - 1).is_multiple_of(stride) {
-            self.occupancy_timeline.push(OccupancySample {
-                phase,
-                batch_size,
-                busy_micros,
-                worker_micros,
-            });
-            if self.occupancy_timeline.len() >= OCCUPANCY_TIMELINE_CAP {
-                // Halve-and-downsample: keep every second sample and double
-                // the stride, preserving a full-span timeline.
-                let mut keep = false;
-                self.occupancy_timeline.retain(|_| {
-                    keep = !keep;
-                    keep
-                });
-                self.timeline_stride = stride * 2;
-            }
-        }
+    /// Counts one dispatched batch of `batch_size` queries against `phase`.
+    pub fn record_dispatch(&mut self, phase: QueryPhase, batch_size: u64) {
         let stats = self.phase_mut(phase);
         stats.batches += 1;
         stats.queries += batch_size;
@@ -630,7 +500,7 @@ pub struct SessionScheduler<Sn> {
     slots: Vec<Slot<Sn>>,
     clock: SharedClock,
     started_at: SimTime,
-    stats: SchedulerStats,
+    stats: EngineStats,
     /// Session slots currently eligible for new work.  Equal to
     /// `slots.len()` unless adaptation is enabled, in which case it grows
     /// while demand keeps every active slot occupied and shrinks when a
@@ -670,7 +540,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                 .collect(),
             clock,
             started_at,
-            stats: SchedulerStats::default(),
+            stats: EngineStats::default(),
             active_limit,
             adaptive: false,
             sink: None,
@@ -791,11 +661,16 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
         self.in_flight() == 0
     }
 
-    /// Progress counters.
-    pub fn stats(&self) -> SchedulerStats {
-        let mut stats = self.stats;
-        stats.virtual_elapsed_micros = self.clock.now().since(self.started_at).as_micros();
-        stats
+    /// This worker's statistics record; its virtual makespan is the
+    /// clock's advance since construction.  The shape fields stay zero:
+    /// the oracle that runs the workers owns them.
+    pub fn stats(&self) -> EngineStats {
+        let elapsed = self.clock.now().since(self.started_at).as_micros();
+        EngineStats {
+            virtual_elapsed_micros: elapsed,
+            worker_virtual_micros: elapsed,
+            ..self.stats
+        }
     }
 
     /// Aggregated SUL interaction counters across all sessions.
@@ -928,10 +803,10 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                 self.stats.busy_session_micros += waiting * delta;
                 for (i, phase) in ALL_PHASES.into_iter().enumerate() {
                     if by_phase[i] > 0 {
-                        let flight = self.stats.flight_mut(phase);
-                        flight.busy_micros += by_phase[i] * delta;
-                        flight.active_micros += delta;
-                        flight.pool_busy_micros += waiting * delta;
+                        let stats = self.stats.phase_mut(phase);
+                        stats.busy_micros += by_phase[i] * delta;
+                        stats.worker_micros += delta;
+                        stats.pool_busy_micros += waiting * delta;
                     }
                 }
                 self.stats.clock_advances += 1;
@@ -968,7 +843,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
 fn finish<Sn>(
     slot: &mut Slot<Sn>,
     completed: &mut Vec<(usize, OutputWord)>,
-    stats: &mut SchedulerStats,
+    stats: &mut EngineStats,
     sink: &Option<Arc<ScopedSink>>,
     now: SimTime,
 ) {
@@ -992,8 +867,6 @@ pub(crate) fn add_stats(acc: SulStats, s: SulStats) -> SulStats {
     SulStats {
         symbols_sent: acc.symbols_sent + s.symbols_sent,
         resets: acc.resets + s.resets,
-        concrete_packets_sent: acc.concrete_packets_sent + s.concrete_packets_sent,
-        concrete_packets_received: acc.concrete_packets_received + s.concrete_packets_received,
     }
 }
 
@@ -1127,21 +1000,23 @@ mod tests {
             max_inflight: 4,
             ..EngineStats::default()
         };
-        engine.absorb(&SchedulerStats {
+        engine.merge(&EngineStats {
             queries_completed: 10,
             clock_advances: 3,
             busy_session_micros: 4_000,
             peak_inflight: 4,
             virtual_elapsed_micros: 1_000,
-            ..SchedulerStats::default()
+            worker_virtual_micros: 1_000,
+            ..EngineStats::default()
         });
-        engine.absorb(&SchedulerStats {
+        engine.merge(&EngineStats {
             queries_completed: 6,
             clock_advances: 2,
             busy_session_micros: 1_000,
             peak_inflight: 2,
             virtual_elapsed_micros: 500,
-            ..SchedulerStats::default()
+            worker_virtual_micros: 500,
+            ..EngineStats::default()
         });
         assert_eq!(engine.queries_completed, 16);
         assert_eq!(engine.virtual_elapsed_micros, 1_000, "makespan is the max");
@@ -1229,32 +1104,25 @@ mod tests {
             max_inflight: 8,
             ..EngineStats::default()
         };
-        engine.record_dispatch(QueryPhase::Construction, 1, 100, 200);
-        engine.record_dispatch(QueryPhase::Construction, 42, 1_500, 200);
-        engine.record_dispatch(QueryPhase::Equivalence, 512, 4_000, 500);
-        // Buckets: 1 → bucket 0, 42 → bucket 5 (32..63), 512 → bucket 9.
-        assert_eq!(engine.batch_size_histogram[0], 1);
-        assert_eq!(engine.batch_size_histogram[5], 1);
-        assert_eq!(engine.batch_size_histogram[9], 1);
-        assert_eq!(engine.batch_size_histogram.len(), 10);
-        assert_eq!(engine.occupancy_timeline.len(), 3);
-        assert_eq!(engine.occupancy_timeline[1].batch_size, 42);
-        assert_eq!(engine.occupancy_timeline[1].phase, QueryPhase::Construction);
+        engine.record_dispatch(QueryPhase::Construction, 1);
+        engine.record_dispatch(QueryPhase::Construction, 42);
+        engine.record_dispatch(QueryPhase::Equivalence, 512);
         let construction = engine.phase(QueryPhase::Construction);
         assert_eq!(construction.batches, 2);
         assert_eq!(construction.queries, 43);
         assert!((construction.mean_batch_size() - 21.5).abs() < 1e-9);
         assert_eq!(engine.phase(QueryPhase::Equivalence).queries, 512);
         assert_eq!(engine.phase(QueryPhase::Counterexample).batches, 0);
-        // Busy/worker phase aggregates come from the scheduler-side flight
-        // integrals, folded in by absorb.
-        engine.absorb(&SchedulerStats {
-            construction_flight: PhaseFlight {
+        // Busy/worker phase aggregates come from the workers' per-query-tag
+        // flight integrals, folded in by merge.
+        engine.merge(&EngineStats {
+            construction: PhaseStats {
                 busy_micros: 1_600,
-                active_micros: 400,
+                worker_micros: 400,
                 pool_busy_micros: 2_000,
+                ..PhaseStats::default()
             },
-            ..SchedulerStats::default()
+            ..EngineStats::default()
         });
         let construction = engine.phase(QueryPhase::Construction);
         // 1_600 busy µs over 400 worker-µs × 8 slots.
@@ -1262,33 +1130,6 @@ mod tests {
         // 2_000 pool-busy µs over the same windows.
         assert!((construction.window_occupancy(8) - 0.625).abs() < 1e-9);
         assert_eq!(engine.phase(QueryPhase::Equivalence).busy_micros, 0);
-    }
-
-    #[test]
-    fn occupancy_timeline_downsamples_instead_of_truncating() {
-        let mut engine = EngineStats::default();
-        let total = (OCCUPANCY_TIMELINE_CAP * 5) as u64;
-        for i in 0..total {
-            engine.record_dispatch(QueryPhase::Construction, i + 1, 0, 0);
-        }
-        assert_eq!(engine.timeline_dispatches, total);
-        assert!(engine.timeline_stride > 1, "stride doubled at least once");
-        let len = engine.occupancy_timeline.len();
-        assert!(
-            (OCCUPANCY_TIMELINE_CAP / 2..OCCUPANCY_TIMELINE_CAP).contains(&len),
-            "halving keeps the timeline within (cap/2, cap), got {len}"
-        );
-        // The timeline spans the whole run: the first sample is the first
-        // dispatch and the last retained sample lies in the final stride
-        // window instead of at the pre-fix hard cutoff of 4096.
-        assert_eq!(engine.occupancy_timeline[0].batch_size, 1);
-        let last = engine.occupancy_timeline[len - 1].batch_size;
-        assert!(
-            last > total - 2 * engine.timeline_stride,
-            "tail is retained (last sample {last} of {total})"
-        );
-        // Exact aggregates are unaffected by downsampling.
-        assert_eq!(engine.phase(QueryPhase::Construction).batches, total);
     }
 
     #[test]
@@ -1311,12 +1152,12 @@ mod tests {
         let done = scheduler.run_to_idle();
         assert_eq!(done.len(), 3);
         let stats = scheduler.stats();
-        let con = stats.flight(QueryPhase::Construction);
-        let eq = stats.flight(QueryPhase::Equivalence);
+        let con = stats.phase(QueryPhase::Construction);
+        let eq = stats.phase(QueryPhase::Equivalence);
         assert_eq!(con.busy_micros, 2 * step.as_micros());
         assert_eq!(eq.busy_micros, step.as_micros());
-        assert_eq!(con.active_micros, step.as_micros());
-        assert_eq!(eq.active_micros, step.as_micros());
+        assert_eq!(con.worker_micros, step.as_micros());
+        assert_eq!(eq.worker_micros, step.as_micros());
         // Both phases were active while all three sessions waited.
         assert_eq!(con.pool_busy_micros, 3 * step.as_micros());
         assert_eq!(eq.pool_busy_micros, 3 * step.as_micros());
@@ -1326,8 +1167,8 @@ mod tests {
             "pool total equals the sum of per-phase busy integrals"
         );
         assert_eq!(
-            stats.flight(QueryPhase::Counterexample),
-            &PhaseFlight::default()
+            stats.phase(QueryPhase::Counterexample),
+            &PhaseStats::default()
         );
     }
 

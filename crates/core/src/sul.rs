@@ -98,10 +98,6 @@ pub struct SulStats {
     pub symbols_sent: u64,
     /// Resets performed.
     pub resets: u64,
-    /// Concrete packets (datagrams/segments) sent to the implementation.
-    pub concrete_packets_sent: u64,
-    /// Concrete packets received from the implementation.
-    pub concrete_packets_received: u64,
 }
 
 /// Exposes a [`Sul`] as a membership oracle: each query resets the SUL and

@@ -144,12 +144,10 @@ impl TcpSul {
                 return (Symbol::new("NIL"), now);
             }
         };
-        self.stats.concrete_packets_sent += 1;
         let input_fields = Self::fields(&segment);
         let (response, ready_at) = self.server.handle_segment_at(&segment, now);
         let (abstract_out, output_fields) = match &response {
             Some(seg) => {
-                self.stats.concrete_packets_received += 1;
                 self.client.absorb(seg);
                 (seg.abstract_name(), Self::fields(seg))
             }
@@ -197,7 +195,6 @@ impl WireSul for TcpSul {
                 WireRequest::Immediate(Symbol::new("NIL"))
             }
             Ok(segment) => {
-                self.stats.concrete_packets_sent += 1;
                 self.current_inputs
                     .push((input.to_string(), Self::fields(&segment)));
                 WireRequest::Datagram(segment.encode())
@@ -226,7 +223,6 @@ impl WireSul for TcpSul {
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
         if let Ok(segment) = TcpSegment::decode(datagram.clone()) {
-            self.stats.concrete_packets_received += 1;
             self.client.absorb(&segment);
             self.wire_responses
                 .push((segment.abstract_name(), Self::fields(&segment)));

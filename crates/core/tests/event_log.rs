@@ -11,11 +11,15 @@
 //! async path: sift-continuation and speculative-equivalence scopes
 //! flush through the submission-order frontier, so even overlapped
 //! phases and rolled-back speculation leave an identical stream.
+//!
+//! With diagnostics on, the stream must also agree with the engine's
+//! counters: the `occupancy` events are the engine's only timeline, so
+//! they must account for every dispatched batch and query.
 
 use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
 use prognosis_core::pipeline::{Learn, LearnConfig, SiftStrategy};
-use prognosis_core::session::{SessionSulFactory, SimDuration};
+use prognosis_core::session::{phase_name, SessionSulFactory, SimDuration, ALL_PHASES};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSulFactory};
 use prognosis_events::{EventSink, MemorySink};
 use proptest::prelude::*;
@@ -67,6 +71,87 @@ fn impaired_factory() -> NetworkedSessionFactory<TcpSulFactory> {
     // Seed 7 loses packet index 3 (the noise stream rewinds to 0 every
     // query), so every multi-step query really exercises the drop path.
     NetworkedSessionFactory::new(TcpSulFactory::default(), link).with_noise_seed(7)
+}
+
+/// The value of `"key":` in one serialized event line (quotes stripped).
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let key = format!("\"{key}\":");
+    let rest = &line[line.find(&key)? + key.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim_matches('"'))
+}
+
+/// The serialized lines of the event named `name`.
+fn events_named<'a>(log: &'a str, name: &str) -> Vec<&'a str> {
+    let tag = format!("\"name\":\"{name}\"");
+    log.lines().filter(|line| line.contains(&tag)).collect()
+}
+
+#[test]
+fn engine_counters_agree_with_the_event_stream() {
+    for sift in [SiftStrategy::Wavefront, SiftStrategy::Dataflow] {
+        for (workers, max_inflight) in [(1, 1), (1, 16), (2, 4)] {
+            let sink = Arc::new(MemorySink::new());
+            let outcome = Learn::new(
+                engine_config()
+                    .with_workers(workers)
+                    .with_max_inflight(max_inflight)
+                    .with_sift(sift),
+            )
+            .with_events(Arc::clone(&sink) as Arc<dyn EventSink>, true)
+            .run(&latency_factory(), &tcp_alphabet())
+            .expect("parallel learning succeeds");
+            let (engine, log) = (outcome.engine, sink.contents());
+            let shape = format!("{sift:?} at ({workers}, {max_inflight})");
+            assert_eq!(
+                events_named(&log, "limit:grow").len() as u64,
+                engine.limit_grows,
+                "{shape}: limit:grow events"
+            );
+            assert_eq!(
+                events_named(&log, "limit:shrink").len() as u64,
+                engine.limit_shrinks,
+                "{shape}: limit:shrink events"
+            );
+            let occupancy = events_named(&log, "occupancy");
+            let done = events_named(&log, "session:done");
+            let mut total_done = 0;
+            for phase in ALL_PHASES {
+                let name = phase_name(phase);
+                let stats = engine.phase(phase);
+                let batches: Vec<u64> = occupancy
+                    .iter()
+                    .filter(|line| field(line, "phase") == Some(name))
+                    .map(|line| field(line, "batch").expect("batch").parse().expect("u64"))
+                    .collect();
+                assert_eq!(
+                    batches.len() as u64,
+                    stats.batches,
+                    "{shape}: {name} batches"
+                );
+                assert_eq!(
+                    batches.iter().sum::<u64>(),
+                    stats.queries,
+                    "{shape}: {name} queries"
+                );
+                if sift == SiftStrategy::Wavefront {
+                    let sessions = done
+                        .iter()
+                        .filter(|line| field(line, "phase") == Some(name))
+                        .count() as u64;
+                    assert_eq!(sessions, stats.queries, "{shape}: {name} session:done");
+                    total_done += sessions;
+                }
+            }
+            if sift == SiftStrategy::Wavefront {
+                assert_eq!(total_done, engine.queries_completed, "{shape}: completions");
+                assert_eq!(
+                    engine.queries_completed, outcome.learned.distinct_queries as u64,
+                    "{shape}: distinct queries"
+                );
+            }
+        }
+    }
 }
 
 /// The (1, 1) reference stream for the latency-modelled scenario.

@@ -1,6 +1,6 @@
 //! Reading side of the event log: soundness verification, counts, and
-//! the per-phase occupancy timeline rendered by the `prognosis-events`
-//! binary.
+//! the per-phase occupancy timeline and batch-size histogram rendered by
+//! the `prognosis-events` binary.
 //!
 //! A log is the concatenation of its rotated files oldest-first
 //! (`path.N`, …, `path.1`) followed by the live file.  Every line must
@@ -269,24 +269,28 @@ fn sparkline(samples: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// Renders the `timeline` view: a per-phase occupancy timeline (from
-/// diagnostic `occupancy` samples when present, session volume
-/// otherwise) plus the wire-loss summary.
+/// Renders the `timeline` view: a per-phase occupancy timeline and the
+/// power-of-two batch-size histogram (from diagnostic `occupancy` events
+/// when present, session volume otherwise) plus the wire-loss summary.
 pub fn timeline_text(scan: &LogScan) -> String {
     let mut out = String::new();
     let width = 60;
 
-    // Per-phase occupancy over the diagnostic samples, in sample order.
+    // Per-phase occupancy over the diagnostic samples, in sample order,
+    // and the dispatch windows' batch sizes by power-of-two bucket.
     let mut occupancy: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    let mut batch_sizes: BTreeMap<u32, u64> = BTreeMap::new();
     for event in &scan.events {
         if event.name == "occupancy" {
-            if let (Some(phase), Some(busy), Some(worker)) = (
+            if let (Some(phase), Some(batch), Some(busy), Some(worker)) = (
                 data_str(&event.data, "phase"),
+                data_u64(&event.data, "batch"),
                 data_u64(&event.data, "busy"),
                 data_u64(&event.data, "worker"),
             ) {
                 let ratio = (busy as f64 / worker.max(1) as f64).min(1.0);
                 occupancy.entry(phase_key(phase)).or_default().push(ratio);
+                *batch_sizes.entry(batch.max(1).ilog2()).or_default() += 1;
             }
         }
     }
@@ -306,6 +310,17 @@ pub fn timeline_text(scan: &LogScan) -> String {
                 );
             }
         }
+        let buckets: Vec<String> = batch_sizes
+            .iter()
+            .map(|(&bucket, count)| {
+                format!("{}-{}:{count}", 1u64 << bucket, u64::MAX >> (63 - bucket))
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "batch sizes (queries-range:windows): {}",
+            buckets.join(" ")
+        );
     }
 
     // Session volume per phase (deterministic stream), as a fallback
@@ -521,6 +536,10 @@ mod tests {
         let text = timeline_text(&scan);
         assert!(text.contains("construction"), "{text}");
         assert!(text.contains("per-phase occupancy"), "{text}");
+        assert!(
+            text.contains("batch sizes (queries-range:windows): 4-7:8"),
+            "{text}"
+        );
         assert!(text.contains("100.00% loss"), "{text}");
         let stats = stats_text(&scan);
         assert!(stats.contains("occupancy"), "{stats}");

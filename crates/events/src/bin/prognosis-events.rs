@@ -4,7 +4,8 @@
 //! * `verify` — soundness check (rotated sequence + every line parses;
 //!   a torn final live line is tolerated).  Exits nonzero on unsound
 //!   logs, so CI can gate on it.
-//! * `timeline` — per-phase occupancy timeline and wire-loss summary.
+//! * `timeline` — per-phase occupancy timeline, batch-size histogram and
+//!   wire-loss summary.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -4,9 +4,13 @@
 //! Every layer of the system emits typed [`Event`]s into an [`EventSink`]:
 //! `netsim::Network` reports each packet's fate, the session scheduler
 //! reports session lifecycle / clock advances / in-flight-limit
-//! adaptations / occupancy samples, the learner reports phase transitions
-//! and speculation commits/rollbacks, and the campaign runner reports task
-//! and engine-lease activity.  Sinks serialize events qlog-style as JSONL
+//! adaptations, the parallel engine reports one `occupancy` event per
+//! dispatched batch, the learner reports phase transitions and
+//! speculation commits/rollbacks, and the campaign runner reports task
+//! and engine-lease activity.  The `occupancy` events are the engine's
+//! one timeline: the engine's statistics record keeps only totals, and
+//! the per-phase occupancy over time and the batch-size histogram are
+//! read back from these events.  Sinks serialize events qlog-style as JSONL
 //! ([`EventLog`] adds size-capped rotation); [`analyze`] reads the logs
 //! back for the `prognosis-events` stats/verify/timeline binary.
 //!
