@@ -2,7 +2,7 @@
 //!
 //! A *word* is a finite sequence of symbols.  Learners manipulate input
 //! words (queries) and output words (responses); the pair of the two is an
-//! [`IoTrace`], the unit stored in the Oracle Table.
+//! [`IoTrace`], the abstract half of a concrete trace for synthesis.
 
 use crate::alphabet::Symbol;
 use serde::{Deserialize, Serialize};

@@ -29,11 +29,12 @@ use prognosis_core::nondeterminism::{
     check_multiplexed, NondeterminismChecker, NondeterminismConfig,
 };
 use prognosis_core::pipeline::{
-    learn_model, learn_model_parallel, Learn, LearnConfig, LearnedModel, SiftStrategy,
+    learn_model, learn_model_parallel, Learn, LearnConfig, LearnedModel, ParallelLearnOutcome,
+    SiftStrategy,
 };
 use prognosis_core::quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul, QuicSulFactory};
 use prognosis_core::session::{EngineStats, PhaseStats, QueryPhase, SimDuration};
-use prognosis_core::sul::Sul;
+use prognosis_core::sul::{replay_transition_cover, Sul};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
 use prognosis_events::{Event, EventSink};
 use prognosis_quic_sim::profile::ImplementationProfile;
@@ -98,16 +99,14 @@ pub fn exp_tcp_learning() -> (Report, LearnedModel) {
 }
 
 /// E2 / Fig. 3(c), Fig. 4: synthesize the register behaviour of the TCP
-/// handshake (sequence/acknowledgement numbers) from the Oracle Table.
+/// handshake (sequence/acknowledgement numbers) from concrete traces.
 ///
-/// Learning runs on the batched-parallel engine and synthesis consumes the
-/// *merged* worker Oracle Tables
-/// ([`prognosis_core::pipeline::ParallelLearnOutcome::merged_oracle_table`]),
-/// so every concrete trace any worker collected is available to the solver
-/// — the default pipeline shape for parallel runs.
+/// Learning runs on the batched-parallel engine and records nothing
+/// concrete; synthesis then replays the skeleton's transition cover through
+/// a fresh SUL ([`replay_transition_cover`]), so every skeleton transition
+/// is exercised and the input does not depend on the engine's scheduling.
 pub fn exp_tcp_synthesis() -> Report {
-    // Learn a small model over the handshake-relevant alphabet so the
-    // Oracle Table contains clean handshake traces.
+    // Learn a small model over the handshake-relevant alphabet.
     let alphabet = Alphabet::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"]);
     let outcome = learn_model_parallel(
         &TcpSulFactory::default(),
@@ -115,13 +114,8 @@ pub fn exp_tcp_synthesis() -> Report {
         default_learn_config().with_workers(2),
     )
     .expect("parallel learning succeeds");
-    let skeleton = outcome.learned.model.clone();
-    // Workers are reset on shutdown, so their tables are fully flushed.
-    let table = outcome.merged_oracle_table();
-    // A handful of short, skeleton-consistent traces keeps the enumerative
-    // solver fast while still pinning down the register behaviour.
-    let candidates = table.to_concrete_traces(|t| t.len() <= 4 && skeleton.accepts_trace(t));
-    let positives = select_synthesis_traces(&skeleton, candidates, 8);
+    let skeleton = outcome.learned.model;
+    let positives = replay_transition_cover(&mut TcpSul::with_defaults(), &skeleton);
     // Registers: srv (our ISN), peer (client sequence); input fields: seq, ack.
     let domain = TermDomain::new(2, 2).with_constant(10_000);
     let synthesizer = Synthesizer::new(
@@ -132,9 +126,7 @@ pub fn exp_tcp_synthesis() -> Report {
     );
     let mut report = Report::new("E2 — TCP register synthesis (paper §4.3, Fig. 3c / Fig. 4)");
     report
-        .row("worker oracle tables merged", outcome.suls.len())
-        .row("merged oracle-table entries", table.len())
-        .row("oracle-table traces", positives.len())
+        .row("replayed words", positives.len())
         .row("skeleton states", skeleton.num_states());
     match synthesizer.synthesize(&skeleton, &positives, &[]) {
         Ok(outcome) => {
@@ -154,57 +146,6 @@ pub fn exp_tcp_synthesis() -> Report {
         }
     }
     report
-}
-
-/// Canonical, order-independent selection of synthesis input from an
-/// Oracle Table: sort the candidate traces, then greedily pick those that
-/// exercise skeleton transitions not yet covered, topping up with the
-/// shortest remaining traces.  The result depends only on the *set* of
-/// recorded traces — not on table order — so sequential and merged-
-/// parallel Oracle Tables (any worker count) feed the solver identically.
-fn select_synthesis_traces(
-    skeleton: &MealyMachine,
-    mut candidates: Vec<ConcreteTrace>,
-    limit: usize,
-) -> Vec<ConcreteTrace> {
-    use std::collections::BTreeSet;
-    candidates.sort_by(|a, b| {
-        (a.abstract_trace.len(), &a.abstract_trace.input)
-            .cmp(&(b.abstract_trace.len(), &b.abstract_trace.input))
-    });
-    candidates.dedup_by(|a, b| a.abstract_trace == b.abstract_trace);
-    let transitions_of = |trace: &ConcreteTrace| {
-        let mut state = skeleton.initial_state();
-        let mut seen = BTreeSet::new();
-        for (input, _) in trace.abstract_trace.steps() {
-            match skeleton.step(state, input) {
-                Ok((next, _)) => {
-                    seen.insert((state, input.clone()));
-                    state = next;
-                }
-                Err(_) => break,
-            }
-        }
-        seen
-    };
-    let mut covered: BTreeSet<_> = BTreeSet::new();
-    let mut selected = Vec::new();
-    let mut rest = Vec::new();
-    for trace in candidates {
-        if selected.len() >= limit {
-            break;
-        }
-        let transitions = transitions_of(&trace);
-        if transitions.iter().any(|t| !covered.contains(t)) {
-            covered.extend(transitions);
-            selected.push(trace);
-        } else {
-            rest.push(trace);
-        }
-    }
-    let missing = limit.saturating_sub(selected.len());
-    selected.extend(rest.into_iter().take(missing));
-    selected
 }
 
 /// Learns one QUIC implementation profile over the full 7-symbol alphabet.
@@ -401,10 +342,11 @@ pub fn exp_issue3() -> Report {
     report
 }
 
-/// E8 / Issue 4 + Appendix B.1 (§6.2.6): synthesis over the Oracle Table
-/// shows that the Google profile's `STREAM_DATA_BLOCKED.Maximum Stream Data`
-/// field is the constant 0, never updated, while the correct implementations
-/// advertise the real limit.
+/// E8 / Issue 4 + Appendix B.1 (§6.2.6): synthesis over concrete traces
+/// replayed along the learned model's transition cover shows that the
+/// Google profile's `STREAM_DATA_BLOCKED.Maximum Stream Data` field is the
+/// constant 0, never updated, while the correct implementations advertise
+/// the real limit.
 pub fn exp_issue4() -> Report {
     let mut report =
         Report::new("E8 / Issue 4 — STREAM_DATA_BLOCKED constant 0 (paper §6.2.6, Appendix B.1)");
@@ -416,48 +358,33 @@ pub fn exp_issue4() -> Report {
         p
     }] {
         let name = profile.name.clone();
-        let mut sul = QuicSul::new(profile, 11);
-        let learned = learn_model(&mut sul, &quic_data_alphabet(), default_learn_config());
-        sul.reset();
-        let skeleton = learned.model.clone();
-        // Project the Oracle Table onto the Maximum Stream Data field: keep
-        // the last numeric output field of steps whose output contains
+        let sul = || QuicSul::new(profile.clone(), 11);
+        let skeleton = learn_model(&mut sul(), &quic_data_alphabet(), default_learn_config()).model;
+        let traces = replay_transition_cover(&mut sul(), &skeleton);
+        // Project the traces onto the Maximum Stream Data field: keep the
+        // last numeric output field of steps whose output contains
         // STREAM_DATA_BLOCKED, drop all other fields.
-        let observed: Vec<i64> = sul
-            .oracle_table()
-            .entries()
-            .flat_map(|e| {
-                e.abstract_trace
-                    .output
-                    .iter()
-                    .zip(e.steps.iter())
-                    .filter(|(o, _)| o.as_str().contains("STREAM_DATA_BLOCKED"))
-                    .filter_map(|(_, s)| s.output_fields.last().copied())
-                    .collect::<Vec<i64>>()
-            })
+        let blocked = |o: &Symbol| o.as_str().contains("STREAM_DATA_BLOCKED");
+        let observed: Vec<i64> = traces
+            .iter()
+            .flat_map(|t| t.abstract_trace.output.iter().zip(t.steps.iter()))
+            .filter(|(o, _)| blocked(o))
+            .filter_map(|(_, s)| s.output_fields.last().copied())
             .collect();
-        let projected: Vec<ConcreteTrace> = sul
-            .oracle_table()
-            .entries()
-            .filter(|e| skeleton.accepts_trace(&e.abstract_trace))
-            .map(|e| {
-                let steps = e
+        let projected: Vec<ConcreteTrace> = traces
+            .into_iter()
+            .map(|t| {
+                let steps = t
                     .abstract_trace
                     .output
                     .iter()
-                    .zip(e.steps.iter())
+                    .zip(t.steps)
                     .map(|(o, s)| {
-                        if o.as_str().contains("STREAM_DATA_BLOCKED") {
-                            ConcreteStep::new(
-                                s.input_fields.clone(),
-                                s.output_fields.last().copied().into_iter().collect(),
-                            )
-                        } else {
-                            ConcreteStep::new(s.input_fields.clone(), vec![])
-                        }
+                        let field = s.output_fields.last().copied().filter(|_| blocked(o));
+                        ConcreteStep::new(s.input_fields, field.into_iter().collect())
                     })
                     .collect();
-                ConcreteTrace::new(e.abstract_trace.clone(), steps)
+                ConcreteTrace::new(t.abstract_trace, steps)
             })
             .collect();
         report
@@ -1676,10 +1603,7 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
              while those batches keep it saturated and shrinks it for small windows",
         );
 
-    let run_json = |outcome: &prognosis_core::pipeline::ParallelLearnOutcome<
-        prognosis_core::latency::LatencySul<TcpSul>,
-    >,
-                    seconds: f64| {
+    let run_json = |outcome: &ParallelLearnOutcome, seconds: f64| {
         serde_json::Value::Map(vec![
             ("seconds".to_string(), serde_json::Value::F64(seconds)),
             (
@@ -1913,10 +1837,7 @@ pub fn exp_dataflow_learner_with_events(
              so every statistic the blocking path reports is reproduced exactly",
         );
 
-    let run_json = |outcome: &prognosis_core::pipeline::ParallelLearnOutcome<
-        prognosis_core::latency::LatencySul<TcpSul>,
-    >,
-                    seconds: f64| {
+    let run_json = |outcome: &ParallelLearnOutcome, seconds: f64| {
         let con = outcome.engine.phase(QueryPhase::Construction);
         serde_json::Value::Map(vec![
             ("seconds".to_string(), serde_json::Value::F64(seconds)),

@@ -24,9 +24,9 @@ use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::InputWord;
 use prognosis_core::engine::EnginePool;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
-use prognosis_core::pipeline::{Learn, LearnError, LearnedModel};
+use prognosis_core::pipeline::{Learn, LearnError, ParallelLearnOutcome};
 use prognosis_core::quic_adapter::{QuicSul, QuicSulFactory};
-use prognosis_core::session::{SessionSulFactory, SimDuration};
+use prognosis_core::session::SimDuration;
 use prognosis_core::sul::Sul;
 use prognosis_core::tcp_adapter::{TcpSul, TcpSulFactory};
 use prognosis_events::{Event, EventSink, Tee};
@@ -134,15 +134,6 @@ struct CellDone {
     trie: PrefixTrie,
 }
 
-/// The monomorphization boundary: a `ParallelLearnOutcome` minus its
-/// session SULs, whose type differs per cell.
-struct LearnBits {
-    learned: LearnedModel,
-    virtual_elapsed_micros: u64,
-    trie: PrefixTrie,
-    prime_misses: u64,
-}
-
 /// The cell's shared-cache identity: the SUL's own cache key, or `None`
 /// for uncacheable cells (impaired links, probabilistic profiles) which
 /// learn cold and stay out of the store.
@@ -173,31 +164,14 @@ fn link_config(imp: &crate::spec::Impairment) -> LinkConfig {
 }
 
 /// Dispatches one cell's learn to the right monomorphized pipeline call.
-fn learn_cell(learn: Learn<'_>, cell: &CellSpec) -> Result<LearnBits, LearnError> {
+fn learn_cell(learn: Learn<'_>, cell: &CellSpec) -> Result<ParallelLearnOutcome, LearnError> {
     let alphabet = cell.effective_alphabet();
-    fn go<F>(
-        learn: Learn<'_>,
-        factory: &F,
-        alphabet: &prognosis_automata::alphabet::Alphabet,
-    ) -> Result<LearnBits, LearnError>
-    where
-        F: SessionSulFactory,
-        F::Session: Send + 'static,
-    {
-        let outcome = learn.run(factory, alphabet)?;
-        Ok(LearnBits {
-            learned: outcome.learned,
-            virtual_elapsed_micros: outcome.engine.virtual_elapsed_micros,
-            trie: outcome.trie,
-            prime_misses: outcome.prime_misses,
-        })
-    }
     match (cell.protocol, &cell.impairment) {
-        (Protocol::Tcp, None) => go(learn, &TcpSulFactory::default(), &alphabet),
+        (Protocol::Tcp, None) => learn.run(&TcpSulFactory::default(), &alphabet),
         (Protocol::Tcp, Some(imp)) => {
             let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), link_config(imp))
                 .with_noise_seed(imp.noise_seed);
-            go(learn, &factory, &alphabet)
+            learn.run(&factory, &alphabet)
         }
         (Protocol::Quic, impairment) => {
             let profile = cell
@@ -209,11 +183,11 @@ fn learn_cell(learn: Learn<'_>, cell: &CellSpec) -> Result<LearnBits, LearnError
                 factory = factory.with_buggy_retry_client();
             }
             match impairment {
-                None => go(learn, &factory, &alphabet),
+                None => learn.run(&factory, &alphabet),
                 Some(imp) => {
                     let factory = NetworkedSessionFactory::new(factory, link_config(imp))
                         .with_noise_seed(imp.noise_seed);
-                    go(learn, &factory, &alphabet)
+                    learn.run(&factory, &alphabet)
                 }
             }
         }
@@ -358,24 +332,24 @@ pub fn run_campaign(
                 if let Some(sink) = &events {
                     learn = learn.with_events(Arc::clone(sink), true);
                 }
-                let bits = learn_cell(learn, cell).map_err(|error| CampaignError::Learn {
+                let outcome = learn_cell(learn, cell).map_err(|error| CampaignError::Learn {
                     task: graph.nodes()[task].id.clone(),
                     error,
                 })?;
                 // Distinct queries the SUL answered *after* priming — the
                 // learner queries the primed cache did not cover.
-                let learned = &bits.learned;
+                let learned = &outcome.learned;
                 let distinct_queries = learned.distinct_queries as u64;
-                let learn_misses = distinct_queries.saturating_sub(bits.prime_misses);
+                let learn_misses = distinct_queries.saturating_sub(outcome.prime_misses);
                 // Divergent cached answers between the baseline's trie and
                 // this cell's own answers are the cross-version regression
                 // findings (left = baseline, right = this cell).
                 let divergences = match &baseline_trie {
-                    Some(b) => b.divergences(&bits.trie, 0),
+                    Some(b) => b.divergences(&outcome.trie, 0),
                     None => Vec::new(),
                 };
                 if let (Some(store), Some(k)) = (&store, &store_key) {
-                    if let Err(e) = store.save_merged(k, &bits.trie, RetainPolicy::All) {
+                    if let Err(e) = store.save_merged(k, &outcome.trie, RetainPolicy::All) {
                         eprintln!(
                             "warning: failed to persist shared cache to {}: {e}",
                             store.path().display()
@@ -404,14 +378,14 @@ pub fn run_campaign(
                     fresh_symbols: learned.stats.fresh_symbols,
                     distinct_queries,
                     primed_words: prime.len() as u64,
-                    prime_misses: bits.prime_misses,
+                    prime_misses: outcome.prime_misses,
                     learn_misses,
                     cache_hit_rate: if distinct_queries == 0 {
                         1.0
                     } else {
                         1.0 - learn_misses as f64 / distinct_queries as f64
                     },
-                    virtual_elapsed_micros: bits.virtual_elapsed_micros,
+                    virtual_elapsed_micros: outcome.engine.virtual_elapsed_micros,
                     cacheable: key.is_some(),
                     divergences,
                 };
@@ -419,8 +393,8 @@ pub fn run_campaign(
                     i,
                     CellDone {
                         report,
-                        model: bits.learned.model,
-                        trie: bits.trie,
+                        model: outcome.learned.model,
+                        trie: outcome.trie,
                     },
                 );
                 Ok(())

@@ -15,7 +15,6 @@
 //! flight concurrently, which is precisely how event-driven trace
 //! collection scales in practice.
 
-use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::session::{
     SessionSulFactory, SharedClock, SimDuration, SimTime, TimedSession, TimedSul,
 };
@@ -124,12 +123,6 @@ impl<S: Sul> TimedSul for LatencySul<S> {
     }
 }
 
-impl<S: HasOracleTable> HasOracleTable for LatencySul<S> {
-    fn oracle_table(&self) -> &OracleTable {
-        self.inner.oracle_table()
-    }
-}
-
 /// Mints latency-wrapped SUL instances from an inner factory.
 #[derive(Clone, Debug)]
 pub struct LatencySulFactory<F> {
@@ -230,8 +223,7 @@ mod tests {
             SessionPoll::Ready(out) => assert_eq!(out.as_str(), "ACK+SYN(?,?,0)"),
             SessionPoll::Pending { .. } => panic!("deadline reached"),
         }
-        // Tearing down hands back the latency wrapper (oracle-table access
-        // flows through it).
+        // Tearing down hands back the latency wrapper.
         let sul = session.into_sul();
         assert_eq!(sul.stats().symbols_sent, 1);
     }

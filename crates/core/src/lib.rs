@@ -7,8 +7,10 @@
 //! * [`sul`] — the [`sul::Sul`] abstraction: a system that can be stepped
 //!   with abstract input symbols and reset between queries, plus the bridge
 //!   that exposes any `Sul` as a learner membership oracle.
-//! * [`oracle_table`] — the Oracle Table of §3.2 (property 4): the cache of
-//!   abstract-trace / concrete-trace pairs that feeds the synthesis module.
+//!   [`sul::ConcreteSul`] replays a word with the concrete packet fields of
+//!   every step, and [`sul::replay_transition_cover`] collects the
+//!   abstract-trace / concrete-trace pairs (§3.2 property 4) that feed the
+//!   synthesis module, after learning and only for the words it needs.
 //! * [`nondeterminism`] — the repeated-query nondeterminism check of §5,
 //!   which both protects the learner from environmental noise and is itself
 //!   a bug-finding analysis (Issue 2).
@@ -38,7 +40,7 @@
 //!   to a sequential run for any `(workers, max_inflight)`.
 //! * [`pipeline`] — end-to-end orchestration: learn a Mealy model of a SUL
 //!   (sequentially or with parallel session workers), optionally synthesize
-//!   a register machine from the Oracle Table, and hand both to the
+//!   a register machine from replayed concrete traces, and hand both to the
 //!   analysis crate.
 
 #![forbid(unsafe_code)]
@@ -48,7 +50,6 @@ pub mod engine;
 pub mod latency;
 pub mod net_transport;
 pub mod nondeterminism;
-pub mod oracle_table;
 pub mod parallel;
 pub mod pipeline;
 pub mod quic_adapter;
@@ -62,7 +63,6 @@ pub use net_transport::{
     LinkConfig, Network, NetworkedSession, NetworkedSessionFactory, WireRequest, WireSul,
 };
 pub use nondeterminism::{check_multiplexed, NondeterminismChecker, NondeterminismReport};
-pub use oracle_table::{HasOracleTable, OracleTable};
 pub use parallel::{EngineShutdown, ParallelSulOracle};
 pub use pipeline::{
     learn_model, learn_model_parallel, Learn, LearnConfig, LearnError, LearnedModel,
@@ -73,5 +73,8 @@ pub use session::{
     BlockingSession, BlockingSessionFactory, EngineStats, SessionPoll, SessionScheduler,
     SessionSul, SessionSulFactory, SharedClock, SimDuration, SimTime, TimedSession, TimedSul,
 };
-pub use sul::{replay_query, Sul, SulFactory, SulMembershipOracle, SulStats};
+pub use sul::{
+    replay_query, replay_transition_cover, ConcreteSul, Sul, SulFactory, SulMembershipOracle,
+    SulStats,
+};
 pub use tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};

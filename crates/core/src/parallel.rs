@@ -19,7 +19,7 @@ use crate::engine::EnginePool;
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
     add_stats, phase_name, EngineStats, QueryPhase, SessionScheduler, SessionSul,
-    SessionSulFactory, SimTime, ALL_PHASES,
+    SessionSulFactory, ALL_PHASES,
 };
 use crate::sul::SulStats;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -342,8 +342,8 @@ enum ScopeState {
     Dead,
 }
 
-/// The result of shutting the engine down: the session SULs (adapter-side
-/// state flushed) plus the aggregated engine statistics.
+/// The result of shutting the engine down: the session SULs plus the
+/// aggregated engine statistics.
 pub struct EngineShutdown<S> {
     /// All session SULs, worker-major (worker 0's sessions first).  With
     /// `max_inflight` = 1 this is exactly one SUL per worker.
@@ -546,11 +546,9 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         }
     }
 
-    /// Shuts the workers down, flushes every session (a final reset pushes
-    /// the last query into adapter-side state such as the Oracle Table) and
-    /// returns the session SULs plus final engine statistics.  A worker
-    /// that panicked surfaces as [`LearnError::WorkerPanicked`] instead of
-    /// poisoning the caller.
+    /// Shuts the workers down and returns the session SULs plus final
+    /// engine statistics.  A worker that panicked surfaces as
+    /// [`LearnError::WorkerPanicked`] instead of poisoning the caller.
     pub fn shutdown(mut self) -> Result<EngineShutdown<Sn::Sul>, LearnError> {
         {
             let mut q = self.shared.queue.lock().expect("work queue poisoned");
@@ -571,10 +569,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                     message: panic_message(payload.as_ref()),
                 })?;
             engine.merge(&stats);
-            for mut session in sessions {
-                session.start_reset(SimTime::ZERO);
-                suls.push(session.into_sul());
-            }
+            suls.extend(sessions.into_iter().map(SessionSul::into_sul));
         }
         if let Some(events) = &self.events {
             // Never-committed scopes (uncommitted continuations, torn-off

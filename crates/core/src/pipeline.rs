@@ -13,7 +13,6 @@
 //! answers each word the same way (§3.2 property 3).
 
 use crate::engine::EnginePool;
-use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::parallel::{EngineShutdown, ParallelSulOracle};
 use crate::session::{EngineStats, QueryPhase, SessionSul, SessionSulFactory};
 use crate::sul::{Sul, SulMembershipOracle, SulStats};
@@ -33,10 +32,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 pub use prognosis_learner::dtree::{SiftStrategy, SpeculationStats};
-
-/// The session-SUL type a [`SessionSulFactory`] ultimately hands back —
-/// what [`ParallelLearnOutcome::suls`] contains.
-pub type FactorySul<F> = <<F as SessionSulFactory>::Session as SessionSul>::Sul;
 
 /// Errors of the parallel learning engine.  A panicking worker SUL (or a
 /// panic anywhere in the learning loop) surfaces as a value instead of
@@ -180,16 +175,10 @@ pub struct LearnedModel {
     pub speculation: SpeculationStats,
 }
 
-/// The result of a parallel learning run, including the session SULs
-/// (whose Oracle Tables feed the synthesis stage).
-pub struct ParallelLearnOutcome<S> {
+/// The result of a parallel learning run.
+pub struct ParallelLearnOutcome {
     /// The learned model and query statistics.
     pub learned: LearnedModel,
-    /// The session SULs, reset so their adapter-side state (Oracle Tables)
-    /// is fully flushed.  Worker-major: worker `i`'s `max_inflight`
-    /// sessions occupy indices `i·max_inflight ..`; with `max_inflight` = 1
-    /// this is exactly one SUL per worker.
-    pub suls: Vec<S>,
     /// Aggregated SUL interaction counters across all sessions.
     pub sul_stats: SulStats,
     /// Session-engine statistics: virtual makespan, scheduler occupancy,
@@ -204,19 +193,6 @@ pub struct ParallelLearnOutcome<S> {
     /// [`Learn::seeded`] priming words (0 without priming, or when the
     /// warm trie already covered every priming word).
     pub prime_misses: u64,
-}
-
-impl<S: HasOracleTable> ParallelLearnOutcome<S> {
-    /// The worker SULs' Oracle Tables combined in worker order — the
-    /// default synthesis input for parallel learning runs, so the
-    /// synthesis stage sees every concrete trace any worker collected.
-    pub fn merged_oracle_table(&self) -> OracleTable {
-        let mut merged = OracleTable::new();
-        for sul in &self.suls {
-            merged.merge_from(sul.oracle_table().clone());
-        }
-        merged
-    }
 }
 
 fn equivalence_oracle(config: &LearnConfig) -> RandomWordOracle {
@@ -299,8 +275,8 @@ fn run_learner<M: MembershipOracle>(
 
 /// Learns a Mealy model of `sul` over `alphabet`, sequentially.
 ///
-/// The SUL is borrowed mutably so the caller keeps access to its Oracle
-/// Table (and any implementation-specific state) afterwards.
+/// The SUL is borrowed mutably so the caller keeps access to its counters
+/// (and any implementation-specific state) afterwards.
 ///
 /// With [`LearnConfig::cache_path`] set and a SUL that reports a
 /// [`Sul::cache_key`], observations persist across runs: a repeat run
@@ -323,7 +299,7 @@ pub fn learn_model_parallel<F>(
     factory: &F,
     alphabet: &Alphabet,
     config: LearnConfig,
-) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
+) -> Result<ParallelLearnOutcome, LearnError>
 where
     F: SessionSulFactory,
     F::Session: Send + 'static,
@@ -410,7 +386,7 @@ impl<'a> Learn<'a> {
         self,
         factory: &F,
         alphabet: &Alphabet,
-    ) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
+    ) -> Result<ParallelLearnOutcome, LearnError>
     where
         F: SessionSulFactory,
         F::Session: Send + 'static,
@@ -442,10 +418,9 @@ impl<'a> Learn<'a> {
             .map_err(learn_error_from_panic)?;
         persist_trie(&config, cache_key.as_deref(), alphabet, &trie);
         let sul_stats = parallel.stats();
-        let EngineShutdown { suls, engine } = parallel.shutdown()?;
+        let EngineShutdown { engine, .. } = parallel.shutdown()?;
         Ok(ParallelLearnOutcome {
             learned,
-            suls,
             sul_stats,
             engine,
             trie,
@@ -507,9 +482,6 @@ mod tests {
         );
         assert!(learned.stats.membership_queries > 0);
         assert!(learned.distinct_queries > 0);
-        // The Oracle Table filled up as a side effect of learning.
-        sul.reset();
-        assert!(!sul.oracle_table().is_empty());
     }
 
     #[test]
@@ -572,19 +544,7 @@ mod tests {
             sequential.stats.membership_queries, outcome.learned.stats.membership_queries,
             "the learner must see the identical query stream in both modes"
         );
-        assert_eq!(outcome.suls.len(), 4);
         assert!(outcome.sul_stats.symbols_sent > 0);
-        // The workers' Oracle Tables merge into one synthesis input.
-        let merged = outcome.merged_oracle_table();
-        assert!(!merged.is_empty());
-        assert_eq!(
-            merged.len(),
-            outcome
-                .suls
-                .iter()
-                .map(|s| s.oracle_table().len())
-                .sum::<usize>()
-        );
     }
 
     #[test]
@@ -637,7 +597,6 @@ mod tests {
                 baseline.learned.stats.fresh_symbols, outcome.learned.stats.fresh_symbols,
                 "(workers, max_inflight) = ({workers}, {inflight}) changed the fresh-symbol cost"
             );
-            assert_eq!(outcome.suls.len(), workers * inflight);
         }
     }
 

@@ -7,19 +7,20 @@
 //! stream offsets and flow-control limits that are valid in the current
 //! connection state (the "never roll your own protocol logic" idea of §3.2).
 //! Responses are abstracted back into the set notation of the appendix
-//! models, e.g. `{HANDSHAKE(?,?)[CRYPTO],INITIAL(?,?)[ACK,CRYPTO]}`, and the
-//! concrete numeric fields of every exchanged packet are recorded in the
-//! Oracle Table for synthesis.
+//! models, e.g. `{HANDSHAKE(?,?)[CRYPTO],INITIAL(?,?)[ACK,CRYPTO]}`.  For
+//! synthesis, [`ConcreteSul`] replays a word with the concrete numeric fields
+//! of every exchanged packet (§3.2 property 4).
 
 use crate::net_transport::{WireRequest, WireSul};
-use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::session::{SessionSulFactory, SimTime, TimedSession, TimedSul};
-use crate::sul::{Sul, SulFactory, SulStats};
+use crate::sul::{ConcreteSul, Sul, SulFactory, SulStats};
 use bytes::Bytes;
 use prognosis_automata::alphabet::{Alphabet, Symbol};
+use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
 use prognosis_quic_sim::client::{numeric_fields, ReferenceQuicClient};
 use prognosis_quic_sim::profile::ImplementationProfile;
 use prognosis_quic_sim::server::QuicServer;
+use prognosis_synth::trace::{ConcreteStep, ConcreteTrace};
 
 /// The abstract QUIC input alphabet of §6.2.2: seven symbols covering
 /// connection establishment, the handshake, data transmission and flow
@@ -109,13 +110,11 @@ pub struct QuicSul {
     /// from RNG state that advances per reset, so its answers depend on
     /// query position — such SULs must opt out of the persistent cache.
     deterministic: bool,
-    oracle: OracleTable,
     stats: SulStats,
-    current_inputs: Vec<(String, Vec<i64>)>,
-    current_outputs: Vec<(String, Vec<i64>)>,
-    /// Response packets absorbed from the wire during the in-flight
-    /// networked step (see [`WireSul`]); empty outside a wire step.
-    wire_responses: Vec<(String, Vec<i64>)>,
+    /// Abstract names of the response packets absorbed from the wire
+    /// during the in-flight networked step (see [`WireSul`]); empty
+    /// outside a wire step.
+    wire_responses: Vec<String>,
 }
 
 impl QuicSul {
@@ -129,10 +128,7 @@ impl QuicSul {
             deterministic,
             client: ReferenceQuicClient::new(seed ^ 0xADA9, 40_000),
             identity,
-            oracle: OracleTable::new(),
             stats: SulStats::default(),
-            current_inputs: Vec::new(),
-            current_outputs: Vec::new(),
             wire_responses: Vec::new(),
         }
     }
@@ -144,75 +140,78 @@ impl QuicSul {
         self
     }
 
-    /// The Oracle Table accumulated so far.
-    pub fn oracle_table(&self) -> &OracleTable {
-        &self.oracle
-    }
-
     /// The server (for white-box assertions in tests and experiments).
     pub fn server(&self) -> &QuicServer {
         &self.server
     }
 
-    fn flush_query(&mut self) {
-        if self.current_inputs.is_empty() {
-            return;
-        }
-        self.oracle.record_steps(
-            std::mem::take(&mut self.current_inputs),
-            std::mem::take(&mut self.current_outputs),
-        );
-    }
-
     /// One step on the virtual clock: the abstract output plus the instant
     /// the server's response flight is ready (`now` when nothing was sent).
-    /// Both [`Sul::step`] and [`TimedSul::step_at`] funnel through here, so
-    /// the two paths answer identically by construction.
-    fn step_timed(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
+    /// [`Sul::step`], [`TimedSul::step_at`] and
+    /// [`ConcreteSul::concrete_trace`] all funnel through here, so they
+    /// answer identically by construction; only the last passes `concrete`,
+    /// which receives the step's numeric fields.
+    fn step_timed(
+        &mut self,
+        input: &Symbol,
+        now: SimTime,
+        concrete: Option<&mut Vec<ConcreteStep>>,
+    ) -> (Symbol, SimTime) {
         self.stats.symbols_sent += 1;
         let (request_packet, wire) = match self.client.concretize(input.as_str()) {
             Ok(r) => r,
             Err(_) => {
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("{}".to_string(), vec![]));
+                if let Some(steps) = concrete {
+                    steps.push(ConcreteStep::default());
+                }
                 return (Symbol::new("{}"), now);
             }
         };
-        let input_fields = numeric_fields(&request_packet);
         let (responses, ready_at) =
             self.server
                 .handle_datagram_at(&wire, self.client.source_port(), now);
-        // Abstract every response packet; keep (name, fields) pairs sorted by
-        // name so the output symbol and the recorded fields stay aligned and
-        // deterministic.
-        let mut decoded: Vec<(String, Vec<i64>)> = responses
-            .iter()
-            .filter_map(|d| self.client.absorb(d))
-            .map(|p| (ReferenceQuicClient::abstract_packet(&p), numeric_fields(&p)))
-            .collect();
-        decoded.sort();
-        let names: Vec<&str> = decoded.iter().map(|(n, _)| n.as_str()).collect();
-        let abstract_out = format!("{{{}}}", names.join(","));
-        let output_fields: Vec<i64> = decoded
-            .iter()
-            .flat_map(|(_, f)| f.iter().copied())
-            .collect();
-        self.current_inputs.push((input.to_string(), input_fields));
-        self.current_outputs
-            .push((abstract_out.clone(), output_fields));
-        (Symbol::new(abstract_out), ready_at)
+        let packets = responses.iter().filter_map(|d| self.client.absorb(d));
+        let output = match concrete {
+            None => flight_symbol(
+                packets
+                    .map(|p| ReferenceQuicClient::abstract_packet(&p))
+                    .collect(),
+            ),
+            Some(steps) => {
+                // Sort (name, fields) pairs together, so the output fields
+                // follow the packets' order in the output symbol.
+                let mut decoded: Vec<(String, Vec<i64>)> = packets
+                    .map(|p| (ReferenceQuicClient::abstract_packet(&p), numeric_fields(&p)))
+                    .collect();
+                decoded.sort();
+                let output_fields = decoded.iter().flat_map(|(_, f)| f.iter().copied());
+                steps.push(ConcreteStep::new(
+                    numeric_fields(&request_packet),
+                    output_fields.collect(),
+                ));
+                flight_symbol(decoded.into_iter().map(|(name, _)| name).collect())
+            }
+        };
+        (output, ready_at)
     }
+}
+
+/// Abstracts one response flight: the packets' names sorted, so the symbol
+/// is deterministic, in set notation; an empty flight is `{}`, the adapter's
+/// timeout symbol.
+fn flight_symbol(mut names: Vec<String>) -> Symbol {
+    names.sort();
+    Symbol::new(format!("{{{}}}", names.join(",")))
 }
 
 impl Sul for QuicSul {
     fn step(&mut self, input: &Symbol) -> Symbol {
-        self.step_timed(input, SimTime::ZERO).0
+        self.step_timed(input, SimTime::ZERO, None).0
     }
 
     fn reset(&mut self) {
         self.stats.resets += 1;
         self.wire_responses.clear();
-        self.flush_query();
         self.server.reset();
         self.client.reset();
     }
@@ -236,7 +235,7 @@ impl Sul for QuicSul {
 
 impl TimedSul for QuicSul {
     fn step_at(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
-        self.step_timed(input, now)
+        self.step_timed(input, now, None)
     }
 
     fn reset_at(&mut self, now: SimTime) -> SimTime {
@@ -250,16 +249,8 @@ impl WireSul for QuicSul {
         self.stats.symbols_sent += 1;
         self.wire_responses.clear();
         match self.client.concretize(input.as_str()) {
-            Err(_) => {
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("{}".to_string(), vec![]));
-                WireRequest::Immediate(Symbol::new("{}"))
-            }
-            Ok((request_packet, wire)) => {
-                self.current_inputs
-                    .push((input.to_string(), numeric_fields(&request_packet)));
-                WireRequest::Datagram(wire)
-            }
+            Err(_) => WireRequest::Immediate(Symbol::new("{}")),
+            Ok((_, wire)) => WireRequest::Datagram(wire),
         }
     }
 
@@ -286,42 +277,33 @@ impl WireSul for QuicSul {
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
         if let Some(packet) = self.client.absorb(datagram) {
-            self.wire_responses.push((
-                ReferenceQuicClient::abstract_packet(&packet),
-                numeric_fields(&packet),
-            ));
+            self.wire_responses
+                .push(ReferenceQuicClient::abstract_packet(&packet));
         }
     }
 
     fn finish_step(&mut self) -> Symbol {
-        // Mirror the in-process path: (name, fields) pairs sorted by name
-        // so the output symbol and the recorded fields stay aligned.  An
-        // empty flight — server silence or every datagram lost — abstracts
-        // to `{}`, the adapter's timeout symbol.
-        let mut decoded = std::mem::take(&mut self.wire_responses);
-        decoded.sort();
-        let names: Vec<&str> = decoded.iter().map(|(n, _)| n.as_str()).collect();
-        let abstract_out = format!("{{{}}}", names.join(","));
-        let output_fields: Vec<i64> = decoded
-            .iter()
-            .flat_map(|(_, f)| f.iter().copied())
-            .collect();
-        self.current_outputs
-            .push((abstract_out.clone(), output_fields));
-        Symbol::new(abstract_out)
+        // Mirror the in-process path.  An empty flight — server silence or
+        // every datagram lost — abstracts to `{}`.
+        flight_symbol(std::mem::take(&mut self.wire_responses))
     }
 }
 
-impl HasOracleTable for QuicSul {
-    fn oracle_table(&self) -> &OracleTable {
-        &self.oracle
+impl ConcreteSul for QuicSul {
+    fn concrete_trace(&mut self, word: &InputWord) -> ConcreteTrace {
+        self.reset();
+        let mut steps = Vec::with_capacity(word.len());
+        let output: OutputWord = word
+            .iter()
+            .map(|input| self.step_timed(input, SimTime::ZERO, Some(&mut steps)).0)
+            .collect();
+        ConcreteTrace::new(IoTrace::new(word.clone(), output), steps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prognosis_automata::word::InputWord;
     use prognosis_learner::oracle::MembershipOracle;
 
     #[test]
@@ -400,24 +382,23 @@ mod tests {
     #[test]
     fn oracle_table_captures_the_stream_data_blocked_field() {
         let mut sul = QuicSul::new(ImplementationProfile::google(), 1);
-        sul.reset();
-        sul.step(&Symbol::new("INITIAL(?,?)[CRYPTO]"));
-        sul.step(&Symbol::new("HANDSHAKE(?,?)[ACK,CRYPTO]"));
         // Exhaust the 200-byte credit so the server reports itself blocked.
-        for _ in 0..4 {
-            sul.step(&Symbol::new("SHORT(?,?)[ACK,STREAM]"));
-        }
-        sul.reset();
-        let table = sul.oracle_table();
-        assert_eq!(table.len(), 1);
-        let entry = table.entries().next().unwrap();
+        let entry = sul.concrete_trace(&InputWord::from_symbols([
+            "INITIAL(?,?)[CRYPTO]",
+            "HANDSHAKE(?,?)[ACK,CRYPTO]",
+            "SHORT(?,?)[ACK,STREAM]",
+            "SHORT(?,?)[ACK,STREAM]",
+            "SHORT(?,?)[ACK,STREAM]",
+            "SHORT(?,?)[ACK,STREAM]",
+        ]));
+        assert_eq!(entry.len(), 6);
         let blocked_step = entry
             .abstract_trace
             .output
             .iter()
             .position(|o| o.as_str().contains("STREAM_DATA_BLOCKED"))
             .expect("the google profile must block within four requests");
-        // The Issue-4 constant 0 is visible in the recorded concrete fields.
+        // The Issue-4 constant 0 is visible in the replayed concrete fields.
         assert!(entry.steps[blocked_step].output_fields.contains(&0));
     }
 

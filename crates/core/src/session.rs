@@ -51,8 +51,7 @@ pub enum SessionPoll {
 /// returns [`SessionPoll::Ready`].  A session serves one query at a time;
 /// concurrency comes from a scheduler multiplexing *many sessions*.
 pub trait SessionSul {
-    /// The blocking SUL type handed back when the session is torn down
-    /// (so adapter-side state such as the Oracle Table survives).
+    /// The blocking SUL type handed back when the session is torn down.
     type Sul: Sul;
 
     /// Begins a reset at virtual time `now`; returns the instant the
@@ -81,9 +80,7 @@ pub trait SessionSul {
     /// no-op by default.
     fn begin_event_scope(&mut self, _scope: u64) {}
 
-    /// Tears the session down, returning the underlying SUL.  Callers
-    /// should [`SessionSul::start_reset`] first so any pending adapter-side
-    /// state (e.g. the last query's Oracle-Table entry) is flushed.
+    /// Tears the session down, returning the underlying SUL.
     fn into_sul(self) -> Self::Sul;
 }
 

@@ -6,10 +6,15 @@
 //! implement it on top of the instrumented reference implementations;
 //! [`SulMembershipOracle`] closes the loop by exposing any `Sul` as a
 //! [`MembershipOracle`] for the learners in `prognosis-learner`.
+//! [`ConcreteSul`] and [`replay_transition_cover`] collect the concrete
+//! traces the synthesis module needs, after learning and on demand.
 
+use prognosis_automata::access::transition_cover;
 use prognosis_automata::alphabet::Symbol;
+use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_learner::oracle::MembershipOracle;
+use prognosis_synth::trace::ConcreteTrace;
 use serde::{Deserialize, Serialize};
 
 /// A system that can be learned: stepped with abstract symbols, reset
@@ -91,6 +96,39 @@ pub fn replay_query<S: Sul + ?Sized>(sul: &mut S, input: &InputWord) -> OutputWo
     out
 }
 
+/// A [`Sul`] whose adapter can report the concrete numeric fields of the
+/// packets behind each abstract step (§3.2 property 4).  The learning hot
+/// path never computes them; synthesis asks for them word by word.
+pub trait ConcreteSul: Sul {
+    /// Resets the SUL, runs `word`, and returns the abstract trace with one
+    /// concrete step (the input and output packets' numeric fields) per
+    /// symbol.
+    fn concrete_trace(&mut self, word: &InputWord) -> ConcreteTrace;
+}
+
+/// The synthesis input of §4.3: replays the transition cover of the learned
+/// `model` (every state's access sequence, and each of those extended by
+/// every input symbol) through `sul` and returns one concrete trace per
+/// non-empty word.
+///
+/// This is the Oracle Table of §3.2 property 4 — abstract traces paired
+/// with the concrete fields that crossed the wire — restricted to the words
+/// synthesis needs: every skeleton transition is exercised at least once,
+/// so the solver can fix an update term for each, and every trace is
+/// consistent with the skeleton when the model is correct.  The words come
+/// in the cover's sorted order, so the result depends only on the model and
+/// the SUL, never on how the learn was scheduled.
+pub fn replay_transition_cover<S: ConcreteSul + ?Sized>(
+    sul: &mut S,
+    model: &MealyMachine,
+) -> Vec<ConcreteTrace> {
+    transition_cover(model)
+        .iter()
+        .filter(|word| !word.is_empty())
+        .map(|word| sul.concrete_trace(word))
+        .collect()
+}
+
 /// Interaction counters for a SUL.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SulStats {
@@ -113,7 +151,7 @@ impl<S: Sul> SulMembershipOracle<S> {
         SulMembershipOracle { sul, queries: 0 }
     }
 
-    /// Immutable access to the wrapped SUL (e.g. to read its Oracle Table
+    /// Immutable access to the wrapped SUL (e.g. to read its counters
     /// after learning).
     pub fn sul(&self) -> &S {
         &self.sul

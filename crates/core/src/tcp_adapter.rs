@@ -5,16 +5,17 @@
 //! ([`prognosis_tcp::ReferenceTcpClient`]), enforcing the §3.2 properties:
 //! packets are only sent when the learner requests them (1), the concrete
 //! segment always matches the requested abstract symbol (2), both sides are
-//! reset between queries (3), every exchange is recorded in the Oracle Table
-//! together with its concrete sequence/acknowledgement numbers (4), and
+//! reset between queries (3), any exchange can be replayed with its concrete
+//! sequence/acknowledgement numbers through [`ConcreteSul`] (4), and
 //! responses are abstracted back to the learner's alphabet (5).
 
 use crate::net_transport::{WireRequest, WireSul};
-use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::session::{SessionSulFactory, SimTime, TimedSession, TimedSul};
-use crate::sul::{Sul, SulFactory, SulStats};
+use crate::sul::{ConcreteSul, Sul, SulFactory, SulStats};
 use bytes::Bytes;
 use prognosis_automata::alphabet::{Alphabet, Symbol};
+use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
+use prognosis_synth::trace::{ConcreteStep, ConcreteTrace};
 use prognosis_tcp::client::ReferenceTcpClient;
 use prognosis_tcp::segment::TcpSegment;
 use prognosis_tcp::server::{TcpServer, TcpServerConfig};
@@ -72,14 +73,11 @@ pub struct TcpSul {
     /// cross-run cache key (the config fully determines query answers:
     /// the reference client's ports and ISN are fixed constants).
     config: TcpServerConfig,
-    oracle: OracleTable,
     stats: SulStats,
-    /// The (abstract, concrete-fields) steps of the query in progress.
-    current_inputs: Vec<(String, Vec<i64>)>,
-    current_outputs: Vec<(String, Vec<i64>)>,
-    /// Responses absorbed from the wire during the in-flight networked
-    /// step (see [`WireSul`]); empty outside a wire step.
-    wire_responses: Vec<(String, Vec<i64>)>,
+    /// Abstract names of the responses absorbed from the wire during the
+    /// in-flight networked step (see [`WireSul`]); empty outside a wire
+    /// step.
+    wire_responses: Vec<String>,
 }
 
 impl TcpSul {
@@ -90,10 +88,7 @@ impl TcpSul {
             server: TcpServer::new(config.clone()),
             client: ReferenceTcpClient::new(40_965, server_port, 48_108),
             config,
-            oracle: OracleTable::new(),
             stats: SulStats::default(),
-            current_inputs: Vec::new(),
-            current_outputs: Vec::new(),
             wire_responses: Vec::new(),
         }
     }
@@ -102,11 +97,6 @@ impl TcpSul {
     /// the learning experiments.
     pub fn with_defaults() -> Self {
         TcpSul::new(TcpServerConfig::default())
-    }
-
-    /// The Oracle Table accumulated so far.
-    pub fn oracle_table(&self) -> &OracleTable {
-        &self.oracle
     }
 
     /// The current state of the server (for white-box assertions in tests).
@@ -118,57 +108,51 @@ impl TcpSul {
         vec![i64::from(segment.seq), i64::from(segment.ack)]
     }
 
-    fn flush_query(&mut self) {
-        if self.current_inputs.is_empty() {
-            return;
-        }
-        self.oracle.record_steps(
-            std::mem::take(&mut self.current_inputs),
-            std::mem::take(&mut self.current_outputs),
-        );
-    }
-
     /// One step on the virtual clock: the abstract output plus the instant
     /// the server's response is ready (`now` when no packet was exchanged).
-    /// Both [`Sul::step`] and [`TimedSul::step_at`] funnel through here, so
-    /// the two paths answer identically by construction.
-    fn step_timed(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
+    /// [`Sul::step`], [`TimedSul::step_at`] and
+    /// [`ConcreteSul::concrete_trace`] all funnel through here, so they
+    /// answer identically by construction; only the last passes `concrete`,
+    /// which receives the step's numeric fields.
+    fn step_timed(
+        &mut self,
+        input: &Symbol,
+        now: SimTime,
+        concrete: Option<&mut Vec<ConcreteStep>>,
+    ) -> (Symbol, SimTime) {
         self.stats.symbols_sent += 1;
         let segment = match self.client.concretize(input.as_str()) {
             Ok(s) => s,
             Err(_) => {
                 // Unknown symbols are answered with silence so a bad alphabet
                 // cannot wedge the learner.
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("NIL".to_string(), vec![]));
+                if let Some(steps) = concrete {
+                    steps.push(ConcreteStep::default());
+                }
                 return (Symbol::new("NIL"), now);
             }
         };
-        let input_fields = Self::fields(&segment);
         let (response, ready_at) = self.server.handle_segment_at(&segment, now);
-        let (abstract_out, output_fields) = match &response {
-            Some(seg) => {
-                self.client.absorb(seg);
-                (seg.abstract_name(), Self::fields(seg))
-            }
-            None => ("NIL".to_string(), vec![]),
-        };
-        self.current_inputs.push((input.to_string(), input_fields));
-        self.current_outputs
-            .push((abstract_out.clone(), output_fields));
-        (Symbol::new(abstract_out), ready_at)
+        if let Some(seg) = &response {
+            self.client.absorb(seg);
+        }
+        if let Some(steps) = concrete {
+            let output_fields = response.as_ref().map_or_else(Vec::new, Self::fields);
+            steps.push(ConcreteStep::new(Self::fields(&segment), output_fields));
+        }
+        let output = response.map_or_else(|| "NIL".to_string(), |seg| seg.abstract_name());
+        (Symbol::new(output), ready_at)
     }
 }
 
 impl Sul for TcpSul {
     fn step(&mut self, input: &Symbol) -> Symbol {
-        self.step_timed(input, SimTime::ZERO).0
+        self.step_timed(input, SimTime::ZERO, None).0
     }
 
     fn reset(&mut self) {
         self.stats.resets += 1;
         self.wire_responses.clear();
-        self.flush_query();
         self.server.reset();
         self.client.reset();
     }
@@ -187,18 +171,10 @@ impl WireSul for TcpSul {
         self.stats.symbols_sent += 1;
         self.wire_responses.clear();
         match self.client.concretize(input.as_str()) {
-            Err(_) => {
-                // Unknown symbols exchange no packet: answered with silence
-                // immediately, exactly as the in-process path does.
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("NIL".to_string(), vec![]));
-                WireRequest::Immediate(Symbol::new("NIL"))
-            }
-            Ok(segment) => {
-                self.current_inputs
-                    .push((input.to_string(), Self::fields(&segment)));
-                WireRequest::Datagram(segment.encode())
-            }
+            // Unknown symbols exchange no packet: answered with silence
+            // immediately, exactly as the in-process path does.
+            Err(_) => WireRequest::Immediate(Symbol::new("NIL")),
+            Ok(segment) => WireRequest::Datagram(segment.encode()),
         }
     }
 
@@ -224,8 +200,7 @@ impl WireSul for TcpSul {
     fn absorb_wire(&mut self, datagram: &Bytes) {
         if let Ok(segment) = TcpSegment::decode(datagram.clone()) {
             self.client.absorb(&segment);
-            self.wire_responses
-                .push((segment.abstract_name(), Self::fields(&segment)));
+            self.wire_responses.push(segment.abstract_name());
         }
     }
 
@@ -234,20 +209,15 @@ impl WireSul for TcpSul {
         // delivery repeats the identical segment, so the first absorbed
         // response is the step's output.  Nothing absorbed means silence
         // on the wire — the adapter's timeout symbol.
-        let (output, fields) = self
-            .wire_responses
-            .first()
-            .cloned()
-            .unwrap_or_else(|| ("NIL".to_string(), vec![]));
+        let output = Symbol::new(self.wire_responses.first().map_or("NIL", String::as_str));
         self.wire_responses.clear();
-        self.current_outputs.push((output.clone(), fields));
-        Symbol::new(output)
+        output
     }
 }
 
 impl TimedSul for TcpSul {
     fn step_at(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
-        self.step_timed(input, now)
+        self.step_timed(input, now, None)
     }
 
     fn reset_at(&mut self, now: SimTime) -> SimTime {
@@ -256,16 +226,21 @@ impl TimedSul for TcpSul {
     }
 }
 
-impl HasOracleTable for TcpSul {
-    fn oracle_table(&self) -> &OracleTable {
-        &self.oracle
+impl ConcreteSul for TcpSul {
+    fn concrete_trace(&mut self, word: &InputWord) -> ConcreteTrace {
+        self.reset();
+        let mut steps = Vec::with_capacity(word.len());
+        let output: OutputWord = word
+            .iter()
+            .map(|input| self.step_timed(input, SimTime::ZERO, Some(&mut steps)).0)
+            .collect();
+        ConcreteTrace::new(IoTrace::new(word.clone(), output), steps)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prognosis_automata::word::InputWord;
     use prognosis_learner::oracle::MembershipOracle;
 
     #[test]
@@ -314,12 +289,8 @@ mod tests {
     #[test]
     fn oracle_table_records_concrete_sequence_numbers() {
         let mut sul = TcpSul::with_defaults();
-        sul.reset();
-        sul.step(&Symbol::new("SYN(?,?,0)"));
-        sul.step(&Symbol::new("ACK(?,?,0)"));
-        sul.reset(); // flushes the query into the table
-        assert_eq!(sul.oracle_table().len(), 1);
-        let entry = sul.oracle_table().entries().next().unwrap();
+        let entry = sul.concrete_trace(&InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]));
+        assert_eq!(entry.len(), 2);
         // The SYN carries the client ISN; the SYN+ACK response acknowledges ISN+1.
         assert_eq!(entry.steps[0].input_fields, vec![48_108, 0]);
         assert_eq!(entry.steps[0].output_fields, vec![10_000, 48_109]);

@@ -128,6 +128,4 @@ fn unimpaired_wire_reproduces_the_blocking_baseline() {
         outcome.learned.stats.membership_queries,
         blocking.stats.membership_queries
     );
-    // The sessions' Oracle Tables captured the wire exchanges.
-    assert!(outcome.suls.iter().any(|s| !s.oracle_table().is_empty()));
 }

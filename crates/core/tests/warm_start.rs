@@ -187,44 +187,3 @@ fn json_cache_file_is_a_cold_start_miss_replaced_by_a_journal() {
     );
     let _ = std::fs::remove_file(&cache);
 }
-
-mod oracle_table_serde {
-    use prognosis_core::oracle_table::OracleTable;
-    use proptest::prelude::*;
-
-    fn arb_table() -> impl Strategy<Value = OracleTable> {
-        // Each query: up to 6 steps of (symbol index, input fields, output
-        // fields); symbols come from a small pool so traces share prefixes.
-        let step = || (0usize..5, prop::collection::vec(any::<i64>(), 0..3));
-        let query = prop::collection::vec((step(), step()), 1..6);
-        prop::collection::vec(query, 0..12).prop_map(|queries| {
-            let mut table = OracleTable::new();
-            for steps in queries {
-                let inputs = steps
-                    .iter()
-                    .map(|((i, fields), _)| (format!("in{i}"), fields.clone()))
-                    .collect();
-                let outputs = steps
-                    .iter()
-                    .map(|(_, (o, fields))| (format!("out{o}"), fields.clone()))
-                    .collect();
-                table.record_steps(inputs, outputs);
-            }
-            table
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn oracle_table_round_trips_through_json(table in arb_table()) {
-            let json = serde_json::to_string(&table).unwrap();
-            let back: OracleTable = serde_json::from_str(&json).unwrap();
-            // Entry-by-entry equality is stronger than the order-insensitive
-            // set equality the cache needs.
-            prop_assert_eq!(&back, &table);
-            prop_assert_eq!(back.len(), table.len());
-        }
-    }
-}

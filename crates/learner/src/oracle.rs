@@ -513,8 +513,7 @@ impl<O: MembershipOracle> CacheOracle<O> {
             && st.ready.is_empty()
     }
 
-    /// All distinct (input, output) query pairs — the raw material for the
-    /// Oracle Table used by the synthesis module.
+    /// All distinct (input, output) query pairs the cache holds.
     pub fn entries(&self) -> impl Iterator<Item = (InputWord, OutputWord)> {
         self.trie.entries().into_iter()
     }

@@ -242,7 +242,7 @@ impl ReferenceQuicClient {
 
     /// Concretizes an abstract request (`γ`): builds and encodes a packet
     /// that is valid in the current connection state.  Returns the decoded
-    /// packet (for the Oracle Table) together with its wire bytes.
+    /// packet (for its concrete fields) together with its wire bytes.
     pub fn concretize(&mut self, symbol: &str) -> Result<(Packet, Bytes), QuicConcretizeError> {
         let (packet_type, frame_types) = Self::parse_abstract(symbol)?;
         let level = match packet_type {
@@ -326,8 +326,8 @@ impl ReferenceQuicClient {
 }
 
 /// Extracts the numeric fields of interest from a packet, in frame order —
-/// the concrete values stored in the Oracle Table and consumed by the
-/// synthesis module.  For each frame: STREAM → offset, STREAM_DATA_BLOCKED →
+/// the concrete values a replayed trace carries into the synthesis
+/// module.  For each frame: STREAM → offset, STREAM_DATA_BLOCKED →
 /// maximum stream data (the Issue-4 field), MAX_DATA / MAX_STREAM_DATA →
 /// the limit, ACK → largest acknowledged, CRYPTO → offset.
 pub fn numeric_fields(packet: &Packet) -> Vec<i64> {

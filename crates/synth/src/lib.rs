@@ -2,7 +2,7 @@
 //!
 //! Synthesis of *extended Mealy machines* — Mealy machines enriched with
 //! integer registers, numerical input fields and numerical output fields —
-//! from the concrete traces cached in the Oracle Table (§4.3 of the paper).
+//! from concrete traces, the paper's Oracle Table entries (§4.3 of the paper).
 //!
 //! The paper phrases the problem as constraint solving over a finite term
 //! grammar (each unknown update/output term ranges over roughly eight

@@ -227,43 +227,57 @@ struct Search<'s, 'a> {
     budget_hit: bool,
 }
 
+/// Saved output-candidate sets, undone in reverse order on backtrack.
+type Trail = Vec<(TransitionKey, Option<Vec<Vec<Term>>>)>;
+
 impl<'s, 'a> Search<'s, 'a> {
     /// Depth-first search over steps.  Returns `true` when all steps (and
     /// the negative-trace check) are satisfied.
+    ///
+    /// Steps whose transition already has fixed update terms only
+    /// propagate registers and narrow output candidates, so they run in a
+    /// loop with an undo trail; the search recurses only where it branches
+    /// over update terms, which bounds the stack depth by the number of
+    /// transitions rather than by the number of trace steps.  Each loop
+    /// iteration counts as one explored node.
     fn run(
         &mut self,
-        pos: usize,
-        registers: Vec<i64>,
+        mut pos: usize,
+        mut registers: Vec<i64>,
         negatives: &[ConcreteTrace],
         positives: &[ConcreteTrace],
     ) -> bool {
-        self.nodes += 1;
-        if self.nodes > self.solver.config.max_nodes {
-            self.budget_hit = true;
-            return false;
-        }
-        if pos == self.steps.len() {
-            return self.negatives_ok(negatives, positives);
-        }
-        let step = &self.steps[pos];
-        let registers = if step.first {
-            self.solver.initial_registers().to_vec()
-        } else {
-            registers
-        };
-
-        if let Some(update_terms) = self.updates.get(&step.key).cloned() {
-            // Updates already fixed for this transition: propagate.
-            match self.apply_updates(&update_terms, &registers, &step.input_fields) {
-                Some(new_regs) => {
-                    self.check_outputs_and_continue(pos, new_regs, negatives, positives)
-                }
-                None => false,
+        let mut trail = Trail::new();
+        let found = loop {
+            self.nodes += 1;
+            if self.nodes > self.solver.config.max_nodes {
+                self.budget_hit = true;
+                break false;
             }
-        } else {
-            // Branch over update-term vectors, one register at a time.
-            self.branch_updates(pos, registers, Vec::new(), negatives, positives)
+            if pos == self.steps.len() {
+                break self.negatives_ok(negatives, positives);
+            }
+            let step = &self.steps[pos];
+            if step.first {
+                registers = self.solver.initial_registers().to_vec();
+            }
+            let Some(update_terms) = self.updates.get(&step.key) else {
+                // Branch over update-term vectors, one register at a time.
+                break self.branch_updates(pos, registers, Vec::new(), negatives, positives);
+            };
+            // Updates already fixed for this transition: propagate.
+            match self.apply_updates(update_terms, &registers, &step.input_fields) {
+                Some(new_regs) if self.narrow_outputs(pos, &new_regs, &mut trail) => {
+                    registers = new_regs;
+                    pos += 1;
+                }
+                _ => break false,
+            }
+        };
+        if !found {
+            self.undo(trail);
         }
+        found
     }
 
     fn branch_updates(
@@ -279,7 +293,13 @@ impl<'s, 'a> Search<'s, 'a> {
             self.updates.insert(step.key, chosen.clone());
             let ok = match self.apply_updates(&chosen, &registers, &step.input_fields) {
                 Some(new_regs) => {
-                    self.check_outputs_and_continue(pos, new_regs, negatives, positives)
+                    let mut trail = Trail::new();
+                    let ok = self.narrow_outputs(pos, &new_regs, &mut trail)
+                        && self.run(pos + 1, new_regs, negatives, positives);
+                    if !ok {
+                        self.undo(trail);
+                    }
+                    ok
                 }
                 None => false,
             };
@@ -317,47 +337,38 @@ impl<'s, 'a> Search<'s, 'a> {
             .collect()
     }
 
-    fn check_outputs_and_continue(
-        &mut self,
-        pos: usize,
-        new_registers: Vec<i64>,
-        negatives: &[ConcreteTrace],
-        positives: &[ConcreteTrace],
-    ) -> bool {
+    /// Narrows the output candidate sets of step `pos`'s transition to the
+    /// terms that explain its observed fields, recording the previous sets
+    /// on `trail` when they change.  Returns `false` (with the sets left
+    /// as they were) when a field has no candidate left.
+    fn narrow_outputs(&mut self, pos: usize, new_registers: &[i64], trail: &mut Trail) -> bool {
         let step = &self.steps[pos];
-        // Filter output candidate sets against this step's observations,
-        // remembering the previous sets for backtracking.
-        let arity = step.output_fields.len();
-        let previous = self.output_candidates.get(&step.key).cloned();
-        let mut sets = previous.clone().unwrap_or_default();
-        if sets.len() < arity {
-            sets.resize(arity, self.candidates.to_vec());
+        let previous = self.output_candidates.get(&step.key);
+        let mut sets = previous.cloned().unwrap_or_default();
+        if sets.len() < step.output_fields.len() {
+            sets.resize(step.output_fields.len(), self.candidates.to_vec());
         }
-        let mut ok = true;
         for (field_idx, &observed) in step.output_fields.iter().enumerate() {
-            sets[field_idx]
-                .retain(|t| t.eval(&new_registers, &step.input_fields) == Some(observed));
+            sets[field_idx].retain(|t| t.eval(new_registers, &step.input_fields) == Some(observed));
             if sets[field_idx].is_empty() {
-                ok = false;
-                break;
+                return false;
             }
         }
-        if ok {
-            self.output_candidates.insert(step.key, sets);
-            if self.run(pos + 1, new_registers, negatives, positives) {
-                return true;
-            }
+        if previous != Some(&sets) {
+            let previous = self.output_candidates.insert(step.key, sets);
+            trail.push((step.key, previous));
         }
-        // Backtrack the candidate-set narrowing.
-        match previous {
-            Some(p) => {
-                self.output_candidates.insert(step.key, p);
-            }
-            None => {
-                self.output_candidates.remove(&step.key);
-            }
+        true
+    }
+
+    /// Restores the candidate sets recorded on `trail`, newest first.
+    fn undo(&mut self, trail: Trail) {
+        for (key, previous) in trail.into_iter().rev() {
+            match previous {
+                Some(p) => self.output_candidates.insert(key, p),
+                None => self.output_candidates.remove(&key),
+            };
         }
-        false
     }
 
     /// Checks that the chosen update terms (with representative outputs) do
@@ -592,10 +603,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn register_chaining_across_steps_is_learned() {
-        // Register must latch the input field on step 1 and emit it on step 2:
-        // only solvable if the solver threads register values across steps.
+    /// A one-register latch: `put` moves to s1, `get` reads back.
+    fn latch_skeleton() -> MealyMachine {
         let inputs = Alphabet::from_symbols(["put", "get"]);
         let mut b = MealyBuilder::new(inputs);
         let s0 = b.add_state();
@@ -604,25 +613,57 @@ mod tests {
         b.add_transition(s0, "get", "val", s0).unwrap();
         b.add_transition(s1, "get", "val", s1).unwrap();
         b.add_transition(s1, "put", "ok", s1).unwrap();
-        let skeleton = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    fn latch_trace() -> ConcreteTrace {
+        trace(vec![
+            ("put", vec![7], "ok", vec![]),
+            ("get", vec![0], "val", vec![7]),
+            ("get", vec![0], "val", vec![7]),
+        ])
+    }
+
+    #[test]
+    fn register_chaining_across_steps_is_learned() {
+        // Register must latch the input field on step 1 and emit it on step 2:
+        // only solvable if the solver threads register values across steps.
+        let skeleton = latch_skeleton();
         let domain = TermDomain::new(1, 1);
         let solver = Solver::new(&skeleton, &domain, vec![0], SolverConfig::default());
         let t1 = trace(vec![
             ("put", vec![41], "ok", vec![]),
             ("get", vec![0], "val", vec![41]),
         ]);
-        let t2 = trace(vec![
-            ("put", vec![7], "ok", vec![]),
-            ("get", vec![0], "val", vec![7]),
-            ("get", vec![0], "val", vec![7]),
-        ]);
-        let solution = solver.solve(&[t1, t2], &[]).unwrap();
+        let solution = solver.solve(&[t1, latch_trace()], &[]).unwrap();
         // The put transition must latch in0 into r0.
         assert_eq!(solution.updates[&(0, 0)], vec![Term::InputField(0)]);
         // The get transition must keep the register and output it.
         assert_eq!(solution.updates[&(1, 1)], vec![Term::Register(0)]);
         let get_out = &solution.output_candidates[&(1, 1)][0];
         assert!(get_out.contains(&Term::Register(0)));
+    }
+
+    #[test]
+    fn stack_depth_does_not_grow_with_the_positive_set() {
+        // Steps whose updates are already fixed propagate in a loop, so a
+        // positive set of 100 000+ steps solves on a 2 MiB thread (the
+        // default for test threads) instead of overflowing its stack.
+        let solve = |copies: usize| {
+            let skeleton = latch_skeleton();
+            let domain = TermDomain::new(1, 1);
+            let solver = Solver::new(&skeleton, &domain, vec![0], SolverConfig::default());
+            solver.solve(&vec![latch_trace(); copies], &[]).unwrap()
+        };
+        let long = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || solve(100_000 / latch_trace().len() + 1))
+            .unwrap()
+            .join()
+            .expect("the long positive set solves without overflowing the stack");
+        let one = solve(1);
+        assert_eq!(long.updates, one.updates);
+        assert_eq!(long.output_candidates, one.output_candidates);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use prognosis::automata::word::InputWord;
 use prognosis::core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
 use prognosis::core::pipeline::{learn_model, LearnConfig};
 use prognosis::core::quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul};
-use prognosis::core::sul::Sul;
+use prognosis::core::sul::{replay_transition_cover, Sul};
 use prognosis::quic_sim::profile::ImplementationProfile;
 
 fn main() {
@@ -88,16 +88,15 @@ fn issue3_retry_port() {
 /// Issue 4: Google QUIC's STREAM_DATA_BLOCKED advertises the constant 0.
 fn issue4_constant_zero() {
     println!("== Issue 4: STREAM_DATA_BLOCKED Maximum Stream Data (google profile) ==");
-    let mut sul = QuicSul::new(ImplementationProfile::google(), 11);
+    let google = || QuicSul::new(ImplementationProfile::google(), 11);
     let config = LearnConfig {
         random_tests: 500,
         max_word_len: 8,
         ..LearnConfig::default()
     };
-    let _ = learn_model(&mut sul, &quic_data_alphabet(), config);
-    sul.reset();
+    let learned = learn_model(&mut google(), &quic_data_alphabet(), config);
     let mut observed = Vec::new();
-    for entry in sul.oracle_table().entries() {
+    for entry in replay_transition_cover(&mut google(), &learned.model) {
         for (output, step) in entry.abstract_trace.output.iter().zip(entry.steps.iter()) {
             if output.as_str().contains("STREAM_DATA_BLOCKED") {
                 if let Some(&v) = step.output_fields.last() {

@@ -8,7 +8,7 @@
 use prognosis::analysis::report::Report;
 use prognosis::automata::alphabet::Alphabet;
 use prognosis::core::pipeline::{learn_model, LearnConfig};
-use prognosis::core::sul::Sul;
+use prognosis::core::sul::replay_transition_cover;
 use prognosis::core::tcp_adapter::{tcp_alphabet, TcpSul};
 use prognosis::synth::synthesis::Synthesizer;
 use prognosis::synth::term::TermDomain;
@@ -25,15 +25,16 @@ fn main() {
     println!("{report}");
 
     // Now the richer, synthesized view (Fig. 3c): learn over the handshake
-    // alphabet so the Oracle Table contains clean traces, then recover the
-    // sequence-number registers with the constraint solver.
+    // alphabet, replay the model's transition cover through a fresh SUL to
+    // collect concrete traces, then recover the sequence-number registers
+    // with the constraint solver.
     let alphabet = Alphabet::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)", "ACK+PSH(?,?,1)"]);
-    let mut sul = TcpSul::with_defaults();
-    let learned = learn_model(&mut sul, &alphabet, LearnConfig::default());
-    sul.reset(); // flush the final query into the Oracle Table
-    let traces = sul
-        .oracle_table()
-        .to_concrete_traces(|t| learned.model.accepts_trace(t));
+    let learned = learn_model(
+        &mut TcpSul::with_defaults(),
+        &alphabet,
+        LearnConfig::default(),
+    );
+    let traces = replay_transition_cover(&mut TcpSul::with_defaults(), &learned.model);
     let synthesizer = Synthesizer::new(
         TermDomain::new(2, 2).with_constant(10_000),
         vec!["srv".to_string(), "peer".to_string()],
@@ -45,7 +46,7 @@ fn main() {
             println!("=== Synthesized register machine (Fig. 3c) ===");
             println!("{}", outcome.machine.render());
             println!(
-                "\n(solver explored {} nodes over {} Oracle-Table traces)",
+                "\n(solver explored {} nodes over {} replayed traces)",
                 outcome.report.solver_nodes, outcome.report.traces_used
             );
         }

@@ -8,13 +8,13 @@
 //!
 //! * [`automata`] — Mealy machines, equivalence, minimization, DOT export.
 //! * [`learner`] — active model learning (L*, TTT) in the MAT framework.
-//! * [`synth`] — register-machine synthesis from Oracle-Table traces.
+//! * [`synth`] — register-machine synthesis from concrete traces.
 //! * [`netsim`] — deterministic network simulator substrate.
 //! * [`tcp`] — the simulated TCP implementation (system under learning).
 //! * [`quic_wire`] — QUIC wire format (packets, frames, simulated crypto).
 //! * [`quic_sim`] — simulated QUIC implementations (Quiche/Google/mvfst/
 //!   Tracker behavioural profiles, including the paper's injected defects).
-//! * [`core`] — the Prognosis framework itself: SUL, Adapter, Oracle Table,
+//! * [`core`] — the Prognosis framework itself: SUL, Adapter, concrete traces,
 //!   nondeterminism check, protocol bindings and the learning pipeline.
 //! * [`analysis`] — model diffing, property checking and reports.
 //! * [`campaign`] — DAG-scheduled differential-learning campaigns over a

@@ -11,7 +11,7 @@ use prognosis::automata::word::InputWord;
 use prognosis::core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
 use prognosis::core::pipeline::{learn_model, LearnConfig};
 use prognosis::core::quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul};
-use prognosis::core::sul::Sul;
+use prognosis::core::sul::replay_transition_cover;
 use prognosis::core::tcp_adapter::{tcp_alphabet, TcpSul};
 use prognosis::quic_sim::profile::ImplementationProfile;
 use prognosis::synth::synthesis::Synthesizer;
@@ -43,19 +43,11 @@ fn tcp_pipeline_learns_a_handshake_model_and_registers() {
     assert_eq!(out.as_slice()[0].as_str(), "ACK+SYN(?,?,0)");
     assert_eq!(out.as_slice()[1].as_str(), "NIL");
 
-    // E2: register synthesis from the Oracle Table over a handshake alphabet.
+    // E2: register synthesis over a handshake alphabet, from concrete traces
+    // replayed along the learned model's transition cover.
     let alphabet = Alphabet::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]);
-    let mut sul = TcpSul::with_defaults();
-    let learned = learn_model(&mut sul, &alphabet, config(200, 6));
-    sul.reset();
-    // A handful of short, skeleton-consistent traces is enough to pin the
-    // register behaviour down and keeps the enumerative solver fast.
-    let traces: Vec<_> = sul
-        .oracle_table()
-        .to_concrete_traces(|t| t.len() <= 4 && learned.model.accepts_trace(t))
-        .into_iter()
-        .take(6)
-        .collect();
+    let learned = learn_model(&mut TcpSul::with_defaults(), &alphabet, config(200, 6));
+    let traces = replay_transition_cover(&mut TcpSul::with_defaults(), &learned.model);
     assert!(!traces.is_empty());
     let synthesizer = Synthesizer::new(
         TermDomain::new(2, 2).with_constant(10_000),
@@ -160,11 +152,10 @@ fn issue3_broken_retry_prevents_connection_establishment() {
 
 #[test]
 fn issue4_constant_zero_is_visible_in_the_oracle_table() {
-    let mut sul = QuicSul::new(ImplementationProfile::google(), 11);
-    let _ = learn_model(&mut sul, &quic_data_alphabet(), config(500, 8));
-    sul.reset();
+    let google = || QuicSul::new(ImplementationProfile::google(), 11);
+    let learned = learn_model(&mut google(), &quic_data_alphabet(), config(500, 8));
     let mut observed = Vec::new();
-    for entry in sul.oracle_table().entries() {
+    for entry in replay_transition_cover(&mut google(), &learned.model) {
         for (output, step) in entry.abstract_trace.output.iter().zip(entry.steps.iter()) {
             if output.as_str().contains("STREAM_DATA_BLOCKED") {
                 observed.push(*step.output_fields.last().unwrap());
