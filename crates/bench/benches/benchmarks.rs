@@ -12,11 +12,9 @@ use prognosis_automata::equivalence::machines_equivalent;
 use prognosis_automata::known;
 use prognosis_automata::word::InputWord;
 use prognosis_automata::word::{IoTrace, OutputWord};
-use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
-use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig};
+use prognosis_core::pipeline::{learn_model, LearnConfig};
 use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul};
-use prognosis_core::session::SimDuration;
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
 use prognosis_quic_sim::profile::ImplementationProfile;
 use prognosis_quic_wire::connection_id::ConnectionId;
@@ -72,72 +70,6 @@ fn bench_quic_learning(c: &mut Criterion) {
                     let mut sul = QuicSul::new(profile.clone(), 3);
                     let learned = learn_model(&mut sul, &quic_data_alphabet(), quick_config());
                     assert!(learned.model.num_states() >= 3);
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// E15: sequential vs batched-parallel learning on a latency-modelled TCP
-/// SUL (50µs per symbol, 100µs per reset — the §4.1 deployment regime the
-/// parallel engine exists for).
-fn bench_parallel_learning(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_learning");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
-    group.warm_up_time(Duration::from_millis(200));
-    let factory = || {
-        LatencySulFactory::new(
-            TcpSulFactory::default(),
-            SimDuration::from_micros(50),
-            SimDuration::from_micros(100),
-        )
-    };
-    let config = LearnConfig {
-        seed: 7,
-        random_tests: 200,
-        min_word_len: 2,
-        max_word_len: 8,
-        eq_batch_size: 256,
-        ..LearnConfig::default()
-    };
-    group.bench_function("tcp_sequential", |b| {
-        b.iter(|| {
-            let learned = learn_model(&mut factory().create(), &tcp_alphabet(), config.clone());
-            assert!(learned.model.num_states() >= 4);
-        })
-    });
-    for workers in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("tcp_parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let outcome = learn_model_parallel(
-                        &factory(),
-                        &tcp_alphabet(),
-                        config.clone().with_workers(workers),
-                    )
-                    .expect("parallel learning succeeds");
-                    assert!(outcome.learned.model.num_states() >= 4);
-                })
-            },
-        );
-    }
-    for inflight in [16usize, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("tcp_multiplexed_1worker", inflight),
-            &inflight,
-            |b, &inflight| {
-                b.iter(|| {
-                    let outcome = learn_model_parallel(
-                        &factory(),
-                        &tcp_alphabet(),
-                        config.clone().with_workers(1).with_max_inflight(inflight),
-                    )
-                    .expect("parallel learning succeeds");
-                    assert!(outcome.learned.model.num_states() >= 4);
                 })
             },
         );
@@ -394,7 +326,6 @@ criterion_group!(
     benches,
     bench_tcp_learning,
     bench_quic_learning,
-    bench_parallel_learning,
     bench_register_synthesis,
     bench_equivalence_checking,
     bench_nondeterminism_check,

@@ -8,15 +8,12 @@
 //! (engine threads, task workers, schedule seed all changed) and asserts
 //! the canonical reports are byte-identical.  Appends the `campaign`
 //! scenario to `BENCH_learning.json` (in the current directory), creating
-//! the file when E15 has not run yet.  A live one-line progress indicator
+//! the file when there is none.  A live one-line progress indicator
 //! paints on interactive terminals only.  Pass `--quick` for the reduced
 //! equivalence-testing CI smoke configuration.
-fn main() {
+fn main() -> Result<(), String> {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let (report, scenario) = prognosis_bench::exp_campaign(quick);
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "campaign", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended campaign scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("campaign", scenario)
 }

@@ -1,34 +1,29 @@
-//! E20: dataflow learner — overlapped sift continuations, interleaved
-//! phases, and speculative equivalence streaming.
+//! E20: the latency-modelled TCP scenario across sift strategies and
+//! engine shapes — dataflow, wavefront and serial sifting at 1 worker × 64
+//! in-flight sessions, dataflow and wavefront at 1 × 16, and blocking
+//! wavefront workers at 1 × 1 and 4 × 1, each learned once.
 //!
-//! Runs the latency-modelled TCP scenario at 1 worker × 64 in-flight
-//! sessions with the dataflow, wavefront and serial sift strategies
-//! (`--quick` trims the random-word budget for the CI smoke step; the pool
-//! shape stays at 64).  While it grinds, a one-line status repaints per
-//! strategy, driven by `bench:stage` events through the shared event sink
-//! (TTY only).  The library asserts the headline claims — bit-identical
-//! models, `membership_queries` ≤ serial, identical `fresh_symbols` and
-//! equivalence-test counts, exact speculation-word accounting, pool-window
-//! occupancy ≥ 0.9 through hypothesis construction, and an end-to-end
-//! virtual-time win over the phase-barriered wavefront — so this binary
-//! doubles as the CI smoke test.  Appends the `dataflow_learner` scenario
-//! (per-strategy runs, speculation waste, occupancy, speedups) to
-//! `BENCH_learning.json` in the current directory.
+//! The library asserts every engine gate on those runs, so this binary
+//! doubles as the CI smoke test: bit-identical models with identical
+//! `fresh_symbols` and equivalence-test counts across every shape,
+//! `membership_queries` ≤ serial, exact speculation-word accounting,
+//! dataflow pool-window occupancy ≥ 0.9 through hypothesis construction
+//! and an end-to-end virtual-time win over the wavefront, wavefront
+//! construction ≥ 4× faster than serial and > 0.5 occupied at 16 slots,
+//! and 1 × 64 dataflow throughput ≥ 40× one blocking worker and above four.
+//! While it grinds, a one-line status repaints per shape, driven by
+//! `bench:stage` events through the shared event sink (TTY only).  Records
+//! the `dataflow_learner` scenario in `BENCH_learning.json` in the current
+//! directory.
 use prognosis_campaign::{Progress, ProgressSink};
 use prognosis_events::EventSink;
 use std::sync::Arc;
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+fn main() -> Result<(), String> {
     let progress = Arc::new(ProgressSink::stages(Progress::stdout()));
-    let (report, scenario) = prognosis_bench::exp_dataflow_learner_with_events(
-        quick,
-        Some(Arc::clone(&progress) as Arc<dyn EventSink>),
-    );
+    let (report, scenario) =
+        prognosis_bench::exp_dataflow_learner(Some(Arc::clone(&progress) as Arc<dyn EventSink>));
     progress.finish();
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "dataflow_learner", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended dataflow_learner scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("dataflow_learner", scenario)
 }

@@ -1,4 +1,4 @@
-//! E23: event-log sink overhead on the E17 session-engine scenario.
+//! E23: event-log sink overhead on E20's latency-modelled TCP scenario.
 //!
 //! Learns the latency-modelled TCP scenario (1 worker × 64 in-flight
 //! dataflow sessions) with and without the rotating JSONL event sink
@@ -9,14 +9,12 @@
 //! on it).  Appends the `event_log` scenario to `BENCH_learning.json`.
 //! Pass `--quick` for the reduced CI smoke configuration (one round, no
 //! overhead floor).
-fn main() {
+fn main() -> Result<(), String> {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let log_path = std::path::Path::new("event_log.jsonl");
     let (report, scenario) = prognosis_bench::exp_event_log(quick, log_path);
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "event_log", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended event_log scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("event_log", scenario)?;
     println!("event log written to {}", log_path.display());
+    Ok(())
 }

@@ -13,17 +13,12 @@ use prognosis_campaign::{Progress, ProgressSink};
 use prognosis_events::EventSink;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), String> {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let progress = Arc::new(ProgressSink::stages(Progress::stdout()));
-    let (report, scenario) = prognosis_bench::exp_store_format_with_events(
-        quick,
-        Some(Arc::clone(&progress) as Arc<dyn EventSink>),
-    );
+    let (report, scenario) =
+        prognosis_bench::exp_store_format(quick, Some(Arc::clone(&progress) as Arc<dyn EventSink>));
     progress.finish();
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "store_format", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended store_format scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("store_format", scenario)
 }

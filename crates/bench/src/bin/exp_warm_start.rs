@@ -4,7 +4,7 @@
 //! warm run issues zero fresh SUL symbols and reproduces the cold model
 //! bit-identically (for 1 and 4 workers), so a non-zero exit fails CI.
 fn main() {
-    let (report, summary, _) = prognosis_bench::exp_warm_start();
+    let (report, summary) = prognosis_bench::exp_warm_start();
     println!("{report}");
     println!(
         "warm start OK: cold {} fresh symbols -> warm {} (sequential) / {} (4 workers)",

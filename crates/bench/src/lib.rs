@@ -23,7 +23,7 @@ use prognosis_automata::word::InputWord;
 use prognosis_campaign::{
     run_campaign, CampaignSpec, CellSpec, Impairment, Progress, RunnerConfig,
 };
-use prognosis_core::latency::{LatencySul, LatencySulFactory};
+use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
 use prognosis_core::nondeterminism::{
     check_multiplexed, NondeterminismChecker, NondeterminismConfig,
@@ -519,10 +519,9 @@ pub struct WarmStartSummary {
 /// the warm run answers every membership query from disk, issuing **zero
 /// fresh SUL symbols** while learning a bit-identical model.  A 4-worker
 /// warm run checks that the cache is worker-count independent.  The
-/// scenario is appended to `BENCH_learning.json` by
-/// [`exp_parallel_learning`], and the assertions double as the CI
-/// warm-start smoke test (`exp_warm_start` binary).
-pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
+/// assertions double as the CI warm-start smoke test (`exp_warm_start`
+/// binary).
+pub fn exp_warm_start() -> (Report, WarmStartSummary) {
     let cache_path = std::env::temp_dir().join(format!(
         "prognosis-warm-start-bench-{}.journal",
         std::process::id()
@@ -565,14 +564,12 @@ pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
 
     // Worker-count independence: a warm parallel run hits the same cache
     // (4 workers × 4 in-flight sessions, exercising the session engine).
-    let start = std::time::Instant::now();
     let parallel = learn_model_parallel(
         &TcpSulFactory::default(),
         &tcp_alphabet(),
         config.clone().with_workers(4).with_max_inflight(4),
     )
     .expect("parallel learning succeeds");
-    let parallel_seconds = start.elapsed().as_secs_f64();
     assert_eq!(
         cold.model, parallel.learned.model,
         "warm start must be worker-count independent"
@@ -590,50 +587,6 @@ pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
         warm_parallel_fresh_symbols: parallel.learned.stats.fresh_symbols,
         model_states: cold.model.num_states(),
     };
-    let run_json = |seconds: f64, learned: &LearnedModel, sul_symbols: u64| {
-        serde_json::Value::Map(vec![
-            ("seconds".to_string(), serde_json::Value::F64(seconds)),
-            (
-                "membership_queries".to_string(),
-                serde_json::Value::U64(learned.stats.membership_queries),
-            ),
-            (
-                "fresh_symbols".to_string(),
-                serde_json::Value::U64(learned.stats.fresh_symbols),
-            ),
-            (
-                "sul_symbols_sent".to_string(),
-                serde_json::Value::U64(sul_symbols),
-            ),
-            (
-                "model_states".to_string(),
-                serde_json::Value::U64(learned.model.num_states() as u64),
-            ),
-        ])
-    };
-    let json = serde_json::Value::Map(vec![
-        (
-            "cold".to_string(),
-            run_json(cold_seconds, &cold, cold_sul.stats().symbols_sent),
-        ),
-        (
-            "warm".to_string(),
-            run_json(warm_seconds, &warm, warm_sul.stats().symbols_sent),
-        ),
-        (
-            "warm_parallel_4".to_string(),
-            run_json(
-                parallel_seconds,
-                &parallel.learned,
-                parallel.sul_stats.symbols_sent,
-            ),
-        ),
-        (
-            "models_bit_identical".to_string(),
-            serde_json::Value::Bool(true),
-        ),
-    ]);
-
     let mut report = Report::new(
         "E16 — cold vs warm-start TCP learning (persistent cross-run observation cache)",
     );
@@ -665,52 +618,27 @@ pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
             "the persisted prefix trie answers every repeat membership query from disk: \
              re-learning the same SUL costs zero fresh SUL symbols",
         );
-    (report, summary, json)
+    (report, summary)
 }
 
-/// One timed learning run for the throughput comparisons of
-/// [`exp_parallel_learning`] and [`exp_session_engine`].
+/// One timed learning run of [`exp_cpu_scaling`].
 #[derive(Clone, Copy, Debug)]
-pub struct ThroughputSample {
+struct ThroughputSample {
     /// Wall-clock seconds for the complete learning run.
-    pub seconds: f64,
-    /// Virtual seconds of simulated round-trip time the run took
-    /// (latency-modelled scenarios only): the makespan on the virtual
-    /// clock, which is what a real deployment's wall clock would show.
-    pub virtual_seconds: Option<f64>,
-    /// Membership queries the learner issued.
-    pub membership_queries: u64,
-    /// Abstract input symbols the SUL instances actually executed.
-    pub symbols_sent: u64,
-    /// Symbols executed per second — over virtual time when the scenario
-    /// models round-trip latency, over wall-clock otherwise.  The
-    /// throughput number the perf trajectory tracks across PRs.
-    pub symbols_per_sec: f64,
-    /// States of the learned model (sanity: must match across modes).
-    pub model_states: usize,
-}
-
-fn throughput(
     seconds: f64,
-    virtual_seconds: Option<f64>,
-    queries: u64,
-    symbols: u64,
-    states: usize,
-) -> ThroughputSample {
-    let basis = virtual_seconds.unwrap_or(seconds).max(1e-9);
-    ThroughputSample {
-        seconds,
-        virtual_seconds,
-        membership_queries: queries,
-        symbols_sent: symbols,
-        symbols_per_sec: symbols as f64 / basis,
-        model_states: states,
-    }
+    /// Membership queries the learner issued.
+    membership_queries: u64,
+    /// Abstract input symbols the SUL instances actually executed.
+    symbols_sent: u64,
+    /// States of the learned model (sanity: must match across modes).
+    model_states: usize,
 }
 
-/// The time basis a sample's throughput was computed over.
-fn basis_seconds(sample: &ThroughputSample) -> f64 {
-    sample.virtual_seconds.unwrap_or(sample.seconds)
+impl ThroughputSample {
+    /// Symbols executed per wall-clock second.
+    fn symbols_per_sec(&self) -> f64 {
+        self.symbols_sent as f64 / self.seconds.max(1e-9)
+    }
 }
 
 fn time_sequential<S: Sul>(
@@ -720,37 +648,12 @@ fn time_sequential<S: Sul>(
 ) -> (ThroughputSample, MealyMachine) {
     let start = std::time::Instant::now();
     let learned = learn_model(sul, alphabet, config);
-    let seconds = start.elapsed().as_secs_f64();
-    let symbols = sul.stats().symbols_sent;
-    let sample = throughput(
-        seconds,
-        None,
-        learned.stats.membership_queries,
-        symbols,
-        learned.model.num_states(),
-    );
-    (sample, learned.model)
-}
-
-/// Sequential learning through a [`LatencySul`], reporting virtual-time
-/// throughput: the blocking path pays every simulated round trip serially
-/// on the virtual clock.
-fn time_sequential_rtt<S: Sul>(
-    sul: &mut LatencySul<S>,
-    alphabet: &Alphabet,
-    config: LearnConfig,
-) -> (ThroughputSample, MealyMachine) {
-    let start = std::time::Instant::now();
-    let learned = learn_model(sul, alphabet, config);
-    let seconds = start.elapsed().as_secs_f64();
-    let virtual_seconds = sul.virtual_elapsed().as_micros() as f64 / 1e6;
-    let sample = throughput(
-        seconds,
-        Some(virtual_seconds),
-        learned.stats.membership_queries,
-        sul.stats().symbols_sent,
-        learned.model.num_states(),
-    );
+    let sample = ThroughputSample {
+        seconds: start.elapsed().as_secs_f64(),
+        membership_queries: learned.stats.membership_queries,
+        symbols_sent: sul.stats().symbols_sent,
+        model_states: learned.model.num_states(),
+    };
     (sample, learned.model)
 }
 
@@ -758,7 +661,6 @@ fn time_parallel<F>(
     factory: &F,
     alphabet: &Alphabet,
     config: LearnConfig,
-    rtt_modelled: bool,
 ) -> (ThroughputSample, MealyMachine, EngineStats)
 where
     F: prognosis_core::session::SessionSulFactory,
@@ -767,20 +669,17 @@ where
     let start = std::time::Instant::now();
     let outcome =
         learn_model_parallel(factory, alphabet, config).expect("parallel learning succeeds");
-    let seconds = start.elapsed().as_secs_f64();
-    let virtual_seconds = rtt_modelled.then(|| outcome.engine.virtual_elapsed_micros as f64 / 1e6);
-    let sample = throughput(
-        seconds,
-        virtual_seconds,
-        outcome.learned.stats.membership_queries,
-        outcome.sul_stats.symbols_sent,
-        outcome.learned.model.num_states(),
-    );
+    let sample = ThroughputSample {
+        seconds: start.elapsed().as_secs_f64(),
+        membership_queries: outcome.learned.stats.membership_queries,
+        symbols_sent: outcome.sul_stats.symbols_sent,
+        model_states: outcome.learned.model.num_states(),
+    };
     (sample, outcome.learned.model, outcome.engine)
 }
 
 fn sample_json(sample: &ThroughputSample) -> serde_json::Value {
-    let mut fields = vec![
+    serde_json::Value::Map(vec![
         (
             "seconds".to_string(),
             serde_json::Value::F64(sample.seconds),
@@ -795,230 +694,13 @@ fn sample_json(sample: &ThroughputSample) -> serde_json::Value {
         ),
         (
             "symbols_per_sec".to_string(),
-            serde_json::Value::F64(sample.symbols_per_sec),
+            serde_json::Value::F64(sample.symbols_per_sec()),
         ),
         (
             "model_states".to_string(),
             serde_json::Value::U64(sample.model_states as u64),
         ),
-    ];
-    if let Some(virtual_seconds) = sample.virtual_seconds {
-        fields.insert(
-            1,
-            (
-                "virtual_seconds".to_string(),
-                serde_json::Value::F64(virtual_seconds),
-            ),
-        );
-    }
-    serde_json::Value::Map(fields)
-}
-
-/// E15 — membership-query throughput of the batched-parallel engine.
-///
-/// Learns the TCP SUL and the google-profile QUIC SUL twice each — once
-/// sequentially, once with `workers` parallel session workers — verifies
-/// the learned models are equivalent (parallelism must never change
-/// answers), and reports symbols/second both ways.  The headline `tcp` /
-/// `quic_google` scenarios run the SULs behind a [`LatencySulFactory`]
-/// modelling the per-packet round-trip latency a real closed-box deployment
-/// pays (§4.1 is wall-clock-bound by exactly that); since PR 3 the latency
-/// model runs on the `netsim` **virtual clock** — no real sleeps — so these
-/// rows report throughput over *virtual* seconds (what a deployment's wall
-/// clock would show) while the bench itself runs at CPU speed.  The
-/// `*_cpu_bound` scenarios run the raw in-process simulators and track pure
-/// CPU throughput over wall-clock time.  The JSON document is written to
-/// `BENCH_learning.json` by the `exp_parallel_learning` binary so later PRs
-/// have a perf trajectory; the `exp_session_engine` binary (E17) appends
-/// the in-flight-scaling scenario to the same file.
-pub fn exp_parallel_learning(workers: usize) -> (Report, String) {
-    use prognosis_automata::equivalence::machines_equivalent;
-    // Simulated per-packet round trip: 50µs per symbol, 100µs per reset —
-    // a fast-LAN deployment; real WAN targets are orders of magnitude worse.
-    let step_rtt = SimDuration::from_micros(50);
-    let reset_rtt = SimDuration::from_micros(100);
-    // Equivalence-testing-heavy configuration: random testing dominates the
-    // query volume, which is exactly the batchable part of learning.
-    let latency_config = LearnConfig {
-        seed: 7,
-        random_tests: 600,
-        min_word_len: 2,
-        max_word_len: 10,
-        eq_batch_size: 512,
-        ..LearnConfig::default()
-    };
-    let cpu_config = LearnConfig {
-        seed: 7,
-        random_tests: 4_000,
-        min_word_len: 2,
-        max_word_len: 12,
-        eq_batch_size: 512,
-        ..LearnConfig::default()
-    };
-    let mut report = Report::new(format!(
-        "E15 — sequential vs {workers}-worker parallel learning throughput"
-    ));
-    let mut json_scenarios: Vec<(String, serde_json::Value)> = Vec::new();
-
-    let tcp_latency = || LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
-    let quic_latency = || {
-        LatencySulFactory::new(
-            QuicSulFactory::new(ImplementationProfile::google(), 3),
-            step_rtt,
-            reset_rtt,
-        )
-    };
-
-    let mut record =
-        |name: &str, seq: ThroughputSample, par: ThroughputSample, rtt_modelled: bool| {
-            let speedup = basis_seconds(&seq) / basis_seconds(&par).max(1e-9);
-            let unit = if rtt_modelled { "virtual s" } else { "s" };
-            report
-                .row(
-                    format!("{name}: sequential"),
-                    format!(
-                        "{:.3}{unit}, {} queries, {} symbols, {:.0} symbols/s",
-                        basis_seconds(&seq),
-                        seq.membership_queries,
-                        seq.symbols_sent,
-                        seq.symbols_per_sec
-                    ),
-                )
-                .row(
-                    format!("{name}: {workers} workers"),
-                    format!(
-                        "{:.3}{unit}, {} queries, {} symbols, {:.0} symbols/s",
-                        basis_seconds(&par),
-                        par.membership_queries,
-                        par.symbols_sent,
-                        par.symbols_per_sec
-                    ),
-                )
-                .row(format!("{name}: speedup"), format!("{speedup:.2}x"))
-                .row(format!("{name}: models equivalent"), true);
-            json_scenarios.push((
-                name.to_string(),
-                serde_json::Value::Map(vec![
-                    ("sequential".to_string(), sample_json(&seq)),
-                    (format!("parallel_{workers}"), sample_json(&par)),
-                    ("speedup".to_string(), serde_json::Value::F64(speedup)),
-                ]),
-            ));
-        };
-
-    // Latency-modelled scenarios: virtual-time throughput.
-    {
-        let (seq, seq_model) = time_sequential_rtt(
-            &mut tcp_latency().create(),
-            &tcp_alphabet(),
-            latency_config.clone(),
-        );
-        let (par, par_model, _) = time_parallel(
-            &tcp_latency(),
-            &tcp_alphabet(),
-            latency_config.clone().with_workers(workers),
-            true,
-        );
-        assert!(
-            machines_equivalent(&seq_model, &par_model),
-            "tcp: parallel learning must produce the sequential model"
-        );
-        record("tcp", seq, par, true);
-    }
-    {
-        let (seq, seq_model) = time_sequential_rtt(
-            &mut quic_latency().create(),
-            &quic_data_alphabet(),
-            latency_config.clone(),
-        );
-        let (par, par_model, _) = time_parallel(
-            &quic_latency(),
-            &quic_data_alphabet(),
-            latency_config.clone().with_workers(workers),
-            true,
-        );
-        assert!(
-            machines_equivalent(&seq_model, &par_model),
-            "quic_google: parallel learning must produce the sequential model"
-        );
-        record("quic_google", seq, par, true);
-    }
-    // CPU-bound scenarios: wall-clock throughput of the raw simulators.
-    {
-        let (seq, seq_model) = time_sequential(
-            &mut TcpSul::with_defaults(),
-            &tcp_alphabet(),
-            cpu_config.clone(),
-        );
-        let (par, par_model, _) = time_parallel(
-            &TcpSulFactory::default(),
-            &tcp_alphabet(),
-            cpu_config.clone().with_workers(workers),
-            false,
-        );
-        assert!(
-            machines_equivalent(&seq_model, &par_model),
-            "tcp_cpu_bound: parallel learning must produce the sequential model"
-        );
-        record("tcp_cpu_bound", seq, par, false);
-    }
-    {
-        let (seq, seq_model) = time_sequential(
-            &mut QuicSul::new(ImplementationProfile::google(), 3),
-            &quic_data_alphabet(),
-            cpu_config.clone(),
-        );
-        let (par, par_model, _) = time_parallel(
-            &QuicSulFactory::new(ImplementationProfile::google(), 3),
-            &quic_data_alphabet(),
-            cpu_config.clone().with_workers(workers),
-            false,
-        );
-        assert!(
-            machines_equivalent(&seq_model, &par_model),
-            "quic_google_cpu_bound: parallel learning must produce the sequential model"
-        );
-        record("quic_google_cpu_bound", seq, par, false);
-    }
-    // E16 rides along: the cold-vs-warm persistent-cache comparison joins
-    // the same BENCH_learning.json trajectory.
-    let (_, warm_summary, warm_json) = exp_warm_start();
-    json_scenarios.push(("tcp_warm_start".to_string(), warm_json));
-    report
-        .row(
-            "tcp_warm_start: cold fresh symbols",
-            warm_summary.cold_fresh_symbols,
-        )
-        .row(
-            "tcp_warm_start: warm fresh symbols (1 / 4 workers)",
-            format!(
-                "{} / {}",
-                warm_summary.warm_fresh_symbols, warm_summary.warm_parallel_fresh_symbols
-            ),
-        );
-    report.finding(format!(
-        "tcp / quic_google model a {}µs-per-symbol, {}µs-per-reset SUL round trip (the \
-         deployment regime of §4.1); the *_cpu_bound rows run the raw in-process simulators",
-        step_rtt.as_micros(),
-        reset_rtt.as_micros()
-    ));
-
-    let document = serde_json::Value::Map(vec![
-        (
-            "experiment".to_string(),
-            serde_json::Value::Str("parallel_learning".to_string()),
-        ),
-        (
-            "workers".to_string(),
-            serde_json::Value::U64(workers as u64),
-        ),
-        (
-            "scenarios".to_string(),
-            serde_json::Value::Map(json_scenarios),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&ValueDoc(document)).expect("render BENCH json");
-    (report, json)
+    ])
 }
 
 /// One protocol row of [`exp_cpu_scaling`]: best-of-`repeats` sequential
@@ -1061,7 +743,10 @@ where
         format!("{name}: sequential"),
         format!(
             "{:.3}s, {} queries, {} symbols, {:.0} symbols/s",
-            seq.seconds, seq.membership_queries, seq.symbols_sent, seq.symbols_per_sec
+            seq.seconds,
+            seq.membership_queries,
+            seq.symbols_sent,
+            seq.symbols_per_sec()
         ),
     );
     let mut fields = vec![("sequential".to_string(), sample_json(&seq))];
@@ -1069,12 +754,8 @@ where
     for &workers in grid {
         let mut best: Option<(ThroughputSample, EngineStats)> = None;
         for _ in 0..repeats {
-            let (sample, model, engine) = time_parallel(
-                factory,
-                alphabet,
-                config.clone().with_workers(workers),
-                false,
-            );
+            let (sample, model, engine) =
+                time_parallel(factory, alphabet, config.clone().with_workers(workers));
             assert!(
                 seq_model == model,
                 "{name}: {workers}-worker learning must produce a bit-identical model"
@@ -1098,7 +779,10 @@ where
                 format!("{name}: {workers} workers"),
                 format!(
                     "{:.3}s, {} queries, {} symbols, {:.0} symbols/s",
-                    par.seconds, par.membership_queries, par.symbols_sent, par.symbols_per_sec
+                    par.seconds,
+                    par.membership_queries,
+                    par.symbols_sent,
+                    par.symbols_per_sec()
                 ),
             )
             .row(
@@ -1167,8 +851,8 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
         .unwrap_or(1);
     let grid = [1usize, 2, 4];
     let repeats = if quick { 1 } else { 3 };
-    // Same CPU-bound configuration as E15's `*_cpu_bound` rows, so the two
-    // experiments' sequential baselines are directly comparable.
+    // Equivalence-testing-heavy: random testing dominates the query
+    // volume, which is exactly the batchable part of learning.
     let cpu_config = LearnConfig {
         seed: 7,
         random_tests: if quick { 600 } else { 4_000 },
@@ -1267,172 +951,6 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
     (report, serde_json::Value::Map(scenario_fields))
 }
 
-/// E17 — in-flight-session scaling of the event-driven session engine.
-///
-/// Runs the simulated-RTT TCP scenario (50µs per symbol, 100µs per reset on
-/// the virtual clock) across engine shapes: 1 blocking worker (the
-/// baseline), 4 blocking workers (thread scaling), and 1 worker multiplexing
-/// {16, 64} in-flight sessions (event-driven scaling).  Reports virtual-time
-/// symbols/sec and scheduler occupancy per shape, asserts every shape learns
-/// an equivalent model with identical query-cost statistics, and asserts the
-/// headline claim: **one worker with 64 in-flight sessions beats 4 blocking
-/// workers outright and clears 8× the blocking single-worker throughput** —
-/// under latency, throughput comes from keeping requests in flight, not
-/// from more threads.  The `exp_session_engine` binary appends the returned
-/// JSON scenario to `BENCH_learning.json`.
-pub fn exp_session_engine() -> (Report, serde_json::Value) {
-    exp_session_engine_with_events(None)
-}
-
-/// [`exp_session_engine`] with an optional event sink receiving
-/// `bench:stage` progress markers as each engine shape runs.
-pub fn exp_session_engine_with_events(
-    events: Option<Arc<dyn EventSink>>,
-) -> (Report, serde_json::Value) {
-    use prognosis_automata::equivalence::machines_equivalent;
-    let step_rtt = SimDuration::from_micros(50);
-    let reset_rtt = SimDuration::from_micros(100);
-    let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
-    let config = LearnConfig {
-        seed: 7,
-        random_tests: 2_000,
-        min_word_len: 2,
-        max_word_len: 10,
-        eq_batch_size: 512,
-        ..LearnConfig::default()
-    };
-
-    // The multiplexed shapes run the dataflow learner (PR 6): sift
-    // continuations and speculative equivalence words share the session
-    // pool, so the in-flight slots stay busy across phase boundaries.  The
-    // blocking shapes keep the wavefront — with one session per worker
-    // there is nothing to overlap, and they are the historical baseline.
-    let shapes: [(&str, usize, usize, SiftStrategy); 4] = [
-        ("workers1_inflight1", 1, 1, SiftStrategy::Wavefront),
-        ("workers4_inflight1", 4, 1, SiftStrategy::Wavefront),
-        ("workers1_inflight16", 1, 16, SiftStrategy::Dataflow),
-        ("workers1_inflight64", 1, 64, SiftStrategy::Dataflow),
-    ];
-    let mut report = Report::new(
-        "E17 — session-engine in-flight scaling (1 worker × {1,16,64} dataflow sessions vs 4 blocking workers)",
-    );
-    let mut json_fields: Vec<(String, serde_json::Value)> = Vec::new();
-    let mut samples: Vec<(ThroughputSample, EngineStats)> = Vec::new();
-    let mut baseline: Option<(MealyMachine, u64, u64)> = None;
-
-    for (name, workers, max_inflight, sift) in shapes {
-        stage(&events, format!("E17 session engine: learning {name}"));
-        let start = std::time::Instant::now();
-        let outcome = learn_model_parallel(
-            &factory,
-            &tcp_alphabet(),
-            config
-                .clone()
-                .with_workers(workers)
-                .with_max_inflight(max_inflight)
-                .with_sift(sift),
-        )
-        .expect("parallel learning succeeds");
-        let seconds = start.elapsed().as_secs_f64();
-        let virtual_seconds = outcome.engine.virtual_elapsed_micros as f64 / 1e6;
-        let sample = throughput(
-            seconds,
-            Some(virtual_seconds),
-            outcome.learned.stats.membership_queries,
-            outcome.sul_stats.symbols_sent,
-            outcome.learned.model.num_states(),
-        );
-        match &baseline {
-            None => {
-                baseline = Some((
-                    outcome.learned.model.clone(),
-                    outcome.learned.stats.fresh_symbols,
-                    outcome.learned.stats.equivalence_tests,
-                ));
-            }
-            Some((model, fresh, eq_tests)) => {
-                assert!(
-                    machines_equivalent(model, &outcome.learned.model),
-                    "{name}: engine shape changed the learned model"
-                );
-                assert_eq!(
-                    *fresh, outcome.learned.stats.fresh_symbols,
-                    "{name}: engine shape changed the fresh-symbol cost"
-                );
-                assert_eq!(
-                    *eq_tests, outcome.learned.stats.equivalence_tests,
-                    "{name}: engine shape changed the equivalence-test count"
-                );
-            }
-        }
-        report.row(
-            name.to_string(),
-            format!(
-                "{:.3} virtual s, {:.0} symbols/s, occupancy {:.2}, {} clock advances",
-                virtual_seconds,
-                sample.symbols_per_sec,
-                outcome.engine.occupancy(),
-                outcome.engine.clock_advances
-            ),
-        );
-        let mut fields = match sample_json(&sample) {
-            serde_json::Value::Map(fields) => fields,
-            _ => unreachable!("sample_json returns a map"),
-        };
-        fields.push((
-            "occupancy".to_string(),
-            serde_json::Value::F64(outcome.engine.occupancy()),
-        ));
-        fields.push((
-            "clock_advances".to_string(),
-            serde_json::Value::U64(outcome.engine.clock_advances),
-        ));
-        fields.push((
-            "peak_inflight".to_string(),
-            serde_json::Value::U64(outcome.engine.peak_inflight),
-        ));
-        json_fields.push((name.to_string(), serde_json::Value::Map(fields)));
-        samples.push((sample, outcome.engine));
-    }
-
-    let blocking1 = samples[0].0.symbols_per_sec;
-    let blocking4 = samples[1].0.symbols_per_sec;
-    let inflight64 = samples[3].0.symbols_per_sec;
-    let speedup64 = inflight64 / blocking1.max(1e-9);
-    assert!(
-        speedup64 >= 40.0,
-        "1 worker × 64 dataflow sessions must clear 40× the blocking \
-         single-worker throughput (got {speedup64:.2}x)"
-    );
-    assert!(
-        inflight64 > blocking4,
-        "1 worker × 64 sessions must beat 4 blocking workers outright \
-         ({inflight64:.0} vs {blocking4:.0} symbols/s)"
-    );
-    report
-        .row(
-            "speedup: 1×64 sessions vs 1 blocking worker",
-            format!("{speedup64:.2}x"),
-        )
-        .row(
-            "speedup: 1×64 sessions vs 4 blocking workers",
-            format!("{:.2}x", inflight64 / blocking4.max(1e-9)),
-        )
-        .finding(
-            "identical models and query-cost statistics across every engine shape; \
-             throughput under simulated RTT comes from in-flight sessions, not threads",
-        );
-    json_fields.push((
-        "speedup_inflight64_vs_blocking1".to_string(),
-        serde_json::Value::F64(speedup64),
-    ));
-    json_fields.push((
-        "speedup_inflight64_vs_blocking4".to_string(),
-        serde_json::Value::F64(inflight64 / blocking4.max(1e-9)),
-    ));
-    (report, serde_json::Value::Map(json_fields))
-}
-
 /// Renders one phase's dispatch accounting as a JSON map.
 fn phase_json(stats: &PhaseStats, max_inflight: u64) -> serde_json::Value {
     serde_json::Value::Map(vec![
@@ -1453,368 +971,334 @@ fn phase_json(stats: &PhaseStats, max_inflight: u64) -> serde_json::Value {
     ])
 }
 
-/// E19 — sift-wavefront batching and adaptive in-flight scaling.
-///
-/// Runs the latency-modelled TCP scenario (50µs per symbol, 100µs per
-/// reset) at 1 worker × `max_inflight` sessions twice: once with the
-/// default [`SiftStrategy::Wavefront`] and once with
-/// [`SiftStrategy::Serial`] (the PR-4 one-query-at-a-time reference).
-/// Asserts the determinism contract — **bit-identical** models,
-/// `membership_queries` ≤ serial, identical `fresh_symbols` — and the
-/// performance claim: wavefront hypothesis construction sustains scheduler
-/// occupancy > 0.5 (serial construction idles at ~`1/max_inflight`) and is
-/// ≥ 4× faster in construction-phase virtual time.  `quick` runs at
-/// `max_inflight` = 16 for the CI smoke step; the full run uses 64.
-/// Returns the `sift_wavefront` scenario (per-phase occupancy and batch
-/// counts, adaptive-limit events) for `BENCH_learning.json`.
-pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
-    let step_rtt = SimDuration::from_micros(50);
-    let reset_rtt = SimDuration::from_micros(100);
-    let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
-    let max_inflight = if quick { 16 } else { 64 };
+/// The latency-modelled TCP scenario E20 and E23 learn: the TCP simulator
+/// behind a 50µs-per-symbol, 100µs-per-reset round trip on the `netsim`
+/// virtual clock (a fast-LAN deployment; real WAN targets are orders of
+/// magnitude worse), with 2 000 random equivalence words of length 2–10
+/// dispatched in batches of 512.  Callers pick the engine shape.
+fn latency_tcp_scenario() -> (LatencySulFactory<TcpSulFactory>, LearnConfig) {
+    let factory = LatencySulFactory::new(
+        TcpSulFactory::default(),
+        SimDuration::from_micros(50),
+        SimDuration::from_micros(100),
+    );
     let config = LearnConfig {
         seed: 7,
-        random_tests: if quick { 600 } else { 2_000 },
+        random_tests: 2_000,
         min_word_len: 2,
         max_word_len: 10,
         eq_batch_size: 512,
         ..LearnConfig::default()
-    }
-    .with_workers(1)
-    .with_max_inflight(max_inflight);
-
-    let run_at = |sift: SiftStrategy, inflight: usize| {
-        let start = std::time::Instant::now();
-        let outcome = learn_model_parallel(
-            &factory,
-            &tcp_alphabet(),
-            config.clone().with_sift(sift).with_max_inflight(inflight),
-        )
-        .expect("parallel learning succeeds");
-        (outcome, start.elapsed().as_secs_f64())
     };
-    let (wave, wave_seconds) = run_at(SiftStrategy::Wavefront, max_inflight);
-    let (serial, serial_seconds) = run_at(SiftStrategy::Serial, max_inflight);
+    (factory, config)
+}
 
-    // Determinism contract: the wavefront is the same algorithm, faster.
-    assert_eq!(
-        wave.learned.model, serial.learned.model,
-        "wavefront sifting must learn a bit-identical model"
+/// One engine shape of [`exp_dataflow_learner`] and what learning at it
+/// cost.
+struct ShapeRun {
+    name: &'static str,
+    workers: usize,
+    max_inflight: u64,
+    sift: SiftStrategy,
+    outcome: ParallelLearnOutcome,
+    wall_seconds: f64,
+}
+
+impl ShapeRun {
+    fn virtual_seconds(&self) -> f64 {
+        self.outcome.engine.virtual_elapsed_micros as f64 / 1e6
+    }
+
+    /// SUL symbols executed per virtual second — what a deployment's wall
+    /// clock would show, independent of the host's scheduling.
+    fn symbols_per_virtual_sec(&self) -> f64 {
+        self.outcome.sul_stats.symbols_sent as f64 / self.virtual_seconds().max(1e-9)
+    }
+
+    fn construction(&self) -> &PhaseStats {
+        self.outcome.engine.phase(QueryPhase::Construction)
+    }
+
+    fn json(&self) -> serde_json::Value {
+        let engine = &self.outcome.engine;
+        let stats = &self.outcome.learned.stats;
+        let cap = self.max_inflight;
+        serde_json::Value::Map(vec![
+            (
+                "workers".to_string(),
+                serde_json::Value::U64(self.workers as u64),
+            ),
+            ("max_inflight".to_string(), serde_json::Value::U64(cap)),
+            (
+                "sift".to_string(),
+                serde_json::Value::Str(format!("{:?}", self.sift).to_lowercase()),
+            ),
+            (
+                "seconds".to_string(),
+                serde_json::Value::F64(self.wall_seconds),
+            ),
+            (
+                "virtual_seconds".to_string(),
+                serde_json::Value::F64(self.virtual_seconds()),
+            ),
+            (
+                "membership_queries".to_string(),
+                serde_json::Value::U64(stats.membership_queries),
+            ),
+            (
+                "fresh_symbols".to_string(),
+                serde_json::Value::U64(stats.fresh_symbols),
+            ),
+            (
+                "symbols_sent".to_string(),
+                serde_json::Value::U64(self.outcome.sul_stats.symbols_sent),
+            ),
+            (
+                "symbols_per_virtual_sec".to_string(),
+                serde_json::Value::F64(self.symbols_per_virtual_sec()),
+            ),
+            (
+                "occupancy".to_string(),
+                serde_json::Value::F64(engine.occupancy()),
+            ),
+            (
+                "clock_advances".to_string(),
+                serde_json::Value::U64(engine.clock_advances),
+            ),
+            (
+                "peak_inflight".to_string(),
+                serde_json::Value::U64(engine.peak_inflight),
+            ),
+            (
+                "limit_grows".to_string(),
+                serde_json::Value::U64(engine.limit_grows),
+            ),
+            (
+                "limit_shrinks".to_string(),
+                serde_json::Value::U64(engine.limit_shrinks),
+            ),
+            (
+                "construction".to_string(),
+                phase_json(self.construction(), cap),
+            ),
+            (
+                "construction_window_occupancy".to_string(),
+                serde_json::Value::F64(self.construction().window_occupancy(cap)),
+            ),
+            (
+                "counterexample".to_string(),
+                phase_json(&engine.counterexample, cap),
+            ),
+            (
+                "equivalence".to_string(),
+                phase_json(&engine.equivalence, cap),
+            ),
+        ])
+    }
+}
+
+/// E20 — the latency-modelled TCP scenario across sift strategies and
+/// engine shapes: dataflow, wavefront and serial sifting at 1 worker × 64
+/// in-flight sessions, dataflow and wavefront at 1 × 16, and the blocking
+/// wavefront baselines at 1 × 1 and 4 × 1.  Every shape learns once, and
+/// the one set of runs carries every gate of the engine:
+///
+/// - *determinism*: every shape learns a **bit-identical** model with
+///   identical `fresh_symbols` and `equivalence_tests`; dataflow and
+///   wavefront ask no more membership queries than serial at 1 × 64; every
+///   speculative word is committed, discarded or unsent;
+/// - *dataflow* ([`SiftStrategy::Dataflow`]): the whole pool stays ≥ 0.9
+///   occupied during hypothesis construction at 1 × 64
+///   ([`PhaseStats::window_occupancy`] — speculative equivalence words fill
+///   whatever construction alone cannot), and end-to-end virtual time
+///   beats the phase-barriered wavefront;
+/// - *wavefront* ([`SiftStrategy::Wavefront`]): hypothesis construction is
+///   ≥ 4× faster than serial sifting in virtual time at 1 × 64, and keeps
+///   over half of a 16-slot pool busy (serial idles at ~`1/max_inflight`);
+/// - *in-flight scaling*: one worker with 64 dataflow sessions clears 40×
+///   the virtual-time throughput of one blocking worker and beats four —
+///   under latency, throughput comes from keeping requests in flight, not
+///   from more threads.
+///
+/// Returns the `dataflow_learner` scenario (per-shape runs, speculation
+/// waste, occupancy and virtual-time speedups) for `BENCH_learning.json`;
+/// `events` receives a `bench:stage` progress marker per shape.
+pub fn exp_dataflow_learner(events: Option<Arc<dyn EventSink>>) -> (Report, serde_json::Value) {
+    use SiftStrategy::{Dataflow, Serial, Wavefront};
+    let (factory, config) = latency_tcp_scenario();
+    let shapes: [(&str, usize, usize, SiftStrategy); 7] = [
+        ("dataflow_1x64", 1, 64, Dataflow),
+        ("wavefront_1x64", 1, 64, Wavefront),
+        ("serial_1x64", 1, 64, Serial),
+        ("dataflow_1x16", 1, 16, Dataflow),
+        ("wavefront_1x16", 1, 16, Wavefront),
+        ("wavefront_1x1", 1, 1, Wavefront),
+        ("wavefront_4x1", 4, 1, Wavefront),
+    ];
+    let runs: Vec<ShapeRun> = shapes
+        .into_iter()
+        .map(|(name, workers, max_inflight, sift)| {
+            stage(&events, format!("E20 dataflow learner: learning {name}"));
+            let start = std::time::Instant::now();
+            let outcome = learn_model_parallel(
+                &factory,
+                &tcp_alphabet(),
+                config
+                    .clone()
+                    .with_workers(workers)
+                    .with_max_inflight(max_inflight)
+                    .with_sift(sift),
+            )
+            .expect("parallel learning succeeds");
+            ShapeRun {
+                name,
+                workers,
+                max_inflight: max_inflight as u64,
+                sift,
+                outcome,
+                wall_seconds: start.elapsed().as_secs_f64(),
+            }
+        })
+        .collect();
+    let run = |name: &str| {
+        runs.iter()
+            .find(|run| run.name == name)
+            .expect("every gated shape is learned")
+    };
+    let (flow, wave, serial) = (
+        run("dataflow_1x64"),
+        run("wavefront_1x64"),
+        run("serial_1x64"),
     );
+
+    // Determinism contract: every strategy is the serial algorithm,
+    // reordered in time, and no engine shape changes what it learns.
+    let reference = &serial.outcome.learned;
+    for run in &runs {
+        let learned = &run.outcome.learned;
+        let name = run.name;
+        assert_eq!(
+            learned.model, reference.model,
+            "{name}: engine shape changed the learned model"
+        );
+        assert_eq!(
+            learned.stats.fresh_symbols, reference.stats.fresh_symbols,
+            "{name}: committed SUL work must match serial word for word"
+        );
+        assert_eq!(
+            learned.stats.equivalence_tests, reference.stats.equivalence_tests,
+            "{name}: chunk-commit identity must reproduce the serial equivalence-test count"
+        );
+        let spec = learned.speculation;
+        assert_eq!(
+            spec.words_used + spec.words_discarded + spec.words_unsent,
+            spec.words_submitted,
+            "{name}: every speculative word must be committed, discarded, or unsent"
+        );
+    }
+    for batched in [flow, wave] {
+        assert!(
+            batched.outcome.learned.stats.membership_queries <= reference.stats.membership_queries,
+            "{}: must not ask more membership queries than serial ({} > {})",
+            batched.name,
+            batched.outcome.learned.stats.membership_queries,
+            reference.stats.membership_queries
+        );
+    }
+
+    // Dataflow: window_occupancy asks whether, while construction was
+    // ongoing, the *whole pool* stayed full (with work of any phase).
+    let flow_window = flow.construction().window_occupancy(flow.max_inflight);
     assert!(
-        wave.learned.stats.membership_queries <= serial.learned.stats.membership_queries,
-        "wavefront must not ask more membership queries ({} > {})",
-        wave.learned.stats.membership_queries,
-        serial.learned.stats.membership_queries
+        flow_window >= 0.9,
+        "speculation must keep the pool ≥ 0.9 occupied during hypothesis \
+         construction at 1 worker × 64 sessions (got {flow_window:.3})"
     );
-    assert_eq!(
-        wave.learned.stats.fresh_symbols, serial.learned.stats.fresh_symbols,
-        "both strategies execute the same distinct words on the SUL"
+    let virtual_speedup_vs_wave = wave.virtual_seconds() / flow.virtual_seconds().max(1e-9);
+    let virtual_speedup_vs_serial = serial.virtual_seconds() / flow.virtual_seconds().max(1e-9);
+    assert!(
+        virtual_speedup_vs_wave > 1.0,
+        "overlapping phases must beat the phase-barriered wavefront end-to-end \
+         ({:.4}s vs {:.4}s virtual)",
+        flow.virtual_seconds(),
+        wave.virtual_seconds()
     );
 
-    let cap = max_inflight as u64;
-    let wave_con = &wave.engine.construction;
-    let serial_con = &serial.engine.construction;
-    let wave_occupancy = wave_con.occupancy(cap);
-    let serial_occupancy = serial_con.occupancy(cap);
-    let construction_speedup =
-        serial_con.worker_micros as f64 / (wave_con.worker_micros as f64).max(1e-9);
+    // Wavefront: breadth-wise batching of hypothesis construction.
+    let construction_speedup = serial.construction().worker_micros as f64
+        / (wave.construction().worker_micros as f64).max(1e-9);
     assert!(
         construction_speedup >= 4.0,
         "wavefront hypothesis construction must be ≥ 4× faster in virtual \
-         time at 1 worker × {max_inflight} sessions (got {construction_speedup:.2}x)"
+         time at 1 worker × 64 sessions (got {construction_speedup:.2}x)"
     );
-    // The pool-filling criterion is pinned at 16 slots (the CI smoke
-    // configuration): a TCP construction round's *fresh* queries — the
-    // cache forwards only those — can saturate a 16-slot pool but not a
-    // 64-slot one, which is exactly why `max_inflight` is an adaptive cap.
-    let occupancy_at_16 = if quick {
-        wave_occupancy
-    } else {
-        let (wave16, _) = run_at(SiftStrategy::Wavefront, 16);
-        wave16.engine.construction.occupancy(16)
-    };
+    // The pool-filling criterion is pinned at 16 slots: a TCP construction
+    // round's *fresh* queries — the cache forwards only those — can
+    // saturate a 16-slot pool but not a 64-slot one, which is exactly why
+    // `max_inflight` is an adaptive cap.
+    let wave16 = run("wavefront_1x16");
+    let occupancy_at_16 = wave16.construction().occupancy(wave16.max_inflight);
     assert!(
         occupancy_at_16 > 0.5,
         "wavefront construction must keep over half a 16-slot pool in \
          flight (got {occupancy_at_16:.3}, serial idles at ~1/max_inflight)"
     );
 
-    let mut report = Report::new(format!(
-        "E19 — sift wavefront vs serial sifting (1 worker × {max_inflight} sessions, \
-         latency-modelled TCP)"
-    ));
-    for (name, outcome, seconds) in [
-        ("wavefront", &wave, wave_seconds),
-        ("serial", &serial, serial_seconds),
-    ] {
-        let engine = &outcome.engine;
-        let con = engine.phase(QueryPhase::Construction);
-        report.row(
-            format!("{name}: construction phase"),
-            format!(
-                "{:.4} virtual s, {} batches (mean size {:.1}), occupancy {:.3}",
-                con.worker_micros as f64 / 1e6,
-                con.batches,
-                con.mean_batch_size(),
-                con.occupancy(cap)
-            ),
-        );
-        report.row(
-            format!("{name}: counterexample phase"),
-            format!(
-                "{:.4} virtual s, {} batches (mean size {:.1}), occupancy {:.3}",
-                engine.counterexample.worker_micros as f64 / 1e6,
-                engine.counterexample.batches,
-                engine.counterexample.mean_batch_size(),
-                engine.counterexample.occupancy(cap)
-            ),
-        );
-        report.row(
-            format!("{name}: whole run"),
-            format!(
-                "{:.4} virtual s, {} membership queries, occupancy {:.3}, \
-                 limit grows/shrinks {}/{}, {seconds:.3}s wall",
-                engine.virtual_elapsed_micros as f64 / 1e6,
-                outcome.learned.stats.membership_queries,
-                engine.occupancy(),
-                engine.limit_grows,
-                engine.limit_shrinks,
-            ),
-        );
-    }
-    report
-        .row(
-            "construction speedup (serial / wavefront virtual time)",
-            format!("{construction_speedup:.2}x"),
-        )
-        .row(
-            "construction occupancy (wavefront vs serial)",
-            format!("{wave_occupancy:.3} vs {serial_occupancy:.3}"),
-        )
-        .row(
-            "construction occupancy at a 16-slot pool",
-            format!("{occupancy_at_16:.3} (must exceed 0.5)"),
-        )
-        .row("models bit-identical, membership queries ≤ serial", true)
-        .finding(
-            "the wavefront turns hypothesis construction from one in-flight query into \
-             O(states × alphabet)-sized batches; the adaptive scheduler grows the pool \
-             while those batches keep it saturated and shrinks it for small windows",
-        );
-
-    let run_json = |outcome: &ParallelLearnOutcome, seconds: f64| {
-        serde_json::Value::Map(vec![
-            ("seconds".to_string(), serde_json::Value::F64(seconds)),
-            (
-                "virtual_seconds".to_string(),
-                serde_json::Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
-            ),
-            (
-                "membership_queries".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.membership_queries),
-            ),
-            (
-                "fresh_symbols".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.fresh_symbols),
-            ),
-            (
-                "occupancy".to_string(),
-                serde_json::Value::F64(outcome.engine.occupancy()),
-            ),
-            (
-                "construction".to_string(),
-                phase_json(&outcome.engine.construction, cap),
-            ),
-            (
-                "counterexample".to_string(),
-                phase_json(&outcome.engine.counterexample, cap),
-            ),
-            (
-                "equivalence".to_string(),
-                phase_json(&outcome.engine.equivalence, cap),
-            ),
-            (
-                "limit_grows".to_string(),
-                serde_json::Value::U64(outcome.engine.limit_grows),
-            ),
-            (
-                "limit_shrinks".to_string(),
-                serde_json::Value::U64(outcome.engine.limit_shrinks),
-            ),
-        ])
-    };
-    let scenario = serde_json::Value::Map(vec![
-        ("workers".to_string(), serde_json::Value::U64(1)),
-        ("max_inflight".to_string(), serde_json::Value::U64(cap)),
-        ("wavefront".to_string(), run_json(&wave, wave_seconds)),
-        ("serial".to_string(), run_json(&serial, serial_seconds)),
-        (
-            "construction_speedup".to_string(),
-            serde_json::Value::F64(construction_speedup),
-        ),
-        (
-            "models_bit_identical".to_string(),
-            serde_json::Value::Bool(true),
-        ),
-    ]);
-    (report, scenario)
-}
-
-/// E20 — dataflow learner: overlapped sift continuations, interleaved
-/// phases and speculative equivalence streaming.
-///
-/// Runs the latency-modelled TCP scenario at 1 worker × 64 in-flight
-/// sessions with [`SiftStrategy::Dataflow`], [`SiftStrategy::Wavefront`]
-/// and [`SiftStrategy::Serial`] (`quick` only trims the random-word
-/// budget — the pool shape is the headline, so it stays at 64).  Asserts
-/// the determinism contract — **bit-identical** models, `membership_queries`
-/// ≤ serial, identical `fresh_symbols` and equivalence-test counts, exact
-/// speculation-word accounting — and the performance claims: the whole
-/// pool stays ≥ 0.9 occupied during hypothesis construction
-/// ([`PhaseStats::window_occupancy`] — speculative equivalence words fill
-/// whatever construction alone cannot), and end-to-end virtual time beats
-/// the phase-barriered wavefront.  Returns the `dataflow_learner` scenario
-/// (per-strategy runs, speculation waste, occupancy and speedups) for
-/// `BENCH_learning.json`.
-pub fn exp_dataflow_learner(quick: bool) -> (Report, serde_json::Value) {
-    exp_dataflow_learner_with_events(quick, None)
-}
-
-/// [`exp_dataflow_learner`] with an optional event sink receiving
-/// `bench:stage` progress markers as each sift strategy runs.
-pub fn exp_dataflow_learner_with_events(
-    quick: bool,
-    events: Option<Arc<dyn EventSink>>,
-) -> (Report, serde_json::Value) {
-    let step_rtt = SimDuration::from_micros(50);
-    let reset_rtt = SimDuration::from_micros(100);
-    let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
-    let max_inflight = 64usize;
-    let cap = max_inflight as u64;
-    let config = LearnConfig {
-        seed: 7,
-        random_tests: if quick { 600 } else { 2_000 },
-        min_word_len: 2,
-        max_word_len: 10,
-        eq_batch_size: 512,
-        ..LearnConfig::default()
-    }
-    .with_workers(1)
-    .with_max_inflight(max_inflight);
-
-    let run_at = |name: &str, sift: SiftStrategy| {
-        stage(&events, format!("E20 dataflow learner: learning {name}"));
-        let start = std::time::Instant::now();
-        let outcome =
-            learn_model_parallel(&factory, &tcp_alphabet(), config.clone().with_sift(sift))
-                .expect("parallel learning succeeds");
-        (outcome, start.elapsed().as_secs_f64())
-    };
-    let (flow, flow_seconds) = run_at("dataflow", SiftStrategy::Dataflow);
-    let (wave, wave_seconds) = run_at("wavefront", SiftStrategy::Wavefront);
-    let (serial, serial_seconds) = run_at("serial", SiftStrategy::Serial);
-
-    // Determinism contract: the dataflow learner is the same algorithm as
-    // serial sifting, merely reordered in time.
-    assert_eq!(
-        flow.learned.model, serial.learned.model,
-        "dataflow learning must produce a bit-identical model"
+    // In-flight scaling against the blocking baselines.
+    let flow_rate = flow.symbols_per_virtual_sec();
+    let blocking1 = run("wavefront_1x1").symbols_per_virtual_sec();
+    let blocking4 = run("wavefront_4x1").symbols_per_virtual_sec();
+    let virtual_speedup_vs_blocking1 = flow_rate / blocking1.max(1e-9);
+    let virtual_speedup_vs_blocking4 = flow_rate / blocking4.max(1e-9);
+    assert!(
+        virtual_speedup_vs_blocking1 >= 40.0,
+        "1 worker × 64 dataflow sessions must clear 40× the blocking \
+         single-worker throughput (got {virtual_speedup_vs_blocking1:.2}x)"
     );
     assert!(
-        flow.learned.stats.membership_queries <= serial.learned.stats.membership_queries,
-        "dataflow must not ask more membership queries ({} > {})",
-        flow.learned.stats.membership_queries,
-        serial.learned.stats.membership_queries
-    );
-    assert_eq!(
-        flow.learned.stats.fresh_symbols, serial.learned.stats.fresh_symbols,
-        "committed SUL work must match serial word for word"
-    );
-    assert_eq!(
-        flow.learned.stats.equivalence_tests, serial.learned.stats.equivalence_tests,
-        "chunk-commit identity must reproduce the serial equivalence-test count"
-    );
-    let spec = flow.learned.speculation;
-    assert_eq!(
-        spec.words_used + spec.words_discarded + spec.words_unsent,
-        spec.words_submitted,
-        "every speculative word must be committed, discarded, or unsent"
+        flow_rate > blocking4,
+        "1 worker × 64 sessions must beat 4 blocking workers outright \
+         ({flow_rate:.0} vs {blocking4:.0} symbols/s)"
     );
 
-    // Performance claims.  window_occupancy asks: while construction was
-    // ongoing, did the *whole pool* stay full (with work of any phase)?
-    let flow_window = flow
-        .engine
-        .phase(QueryPhase::Construction)
-        .window_occupancy(cap);
-    let wave_con_occ = wave.engine.phase(QueryPhase::Construction).occupancy(cap);
-    assert!(
-        flow_window >= 0.9,
-        "speculation must keep the pool ≥ 0.9 occupied during hypothesis \
-         construction at 1 worker × {max_inflight} sessions (got {flow_window:.3})"
-    );
-    let flow_virtual = flow.engine.virtual_elapsed_micros as f64 / 1e6;
-    let wave_virtual = wave.engine.virtual_elapsed_micros as f64 / 1e6;
-    let serial_virtual = serial.engine.virtual_elapsed_micros as f64 / 1e6;
-    let speedup_vs_wave = wave_virtual / flow_virtual.max(1e-9);
-    let speedup_vs_serial = serial_virtual / flow_virtual.max(1e-9);
-    assert!(
-        speedup_vs_wave > 1.0,
-        "overlapping phases must beat the phase-barriered wavefront \
-         end-to-end ({flow_virtual:.4}s vs {wave_virtual:.4}s virtual)"
-    );
-
+    let spec = flow.outcome.learned.speculation;
     let waste_ratio = if spec.words_submitted == 0 {
         0.0
     } else {
         spec.words_discarded as f64 / spec.words_submitted as f64
     };
-    let mut report = Report::new(format!(
-        "E20 — dataflow learner vs wavefront and serial (1 worker × {max_inflight} \
-         sessions, latency-modelled TCP)"
-    ));
-    for (name, outcome, seconds) in [
-        ("dataflow", &flow, flow_seconds),
-        ("wavefront", &wave, wave_seconds),
-        ("serial", &serial, serial_seconds),
-    ] {
-        let engine = &outcome.engine;
-        let con = engine.phase(QueryPhase::Construction);
+    let mut report =
+        Report::new("E20 — sift strategies and engine shapes on the latency-modelled TCP scenario");
+    for run in &runs {
+        let con = run.construction();
         report.row(
-            format!("{name}: construction phase"),
+            run.name,
             format!(
-                "{:.4} virtual s, own occupancy {:.3}, pool-window occupancy {:.3}",
+                "{:.4} virtual s, {} membership queries, {:.0} symbols/s, occupancy {:.3}; \
+                 construction {:.4} virtual s, own occupancy {:.3}, pool-window {:.3}; \
+                 {:.3}s wall",
+                run.virtual_seconds(),
+                run.outcome.learned.stats.membership_queries,
+                run.symbols_per_virtual_sec(),
+                run.outcome.engine.occupancy(),
                 con.worker_micros as f64 / 1e6,
-                con.occupancy(cap),
-                con.window_occupancy(cap)
-            ),
-        );
-        report.row(
-            format!("{name}: whole run"),
-            format!(
-                "{:.4} virtual s, {} membership queries, occupancy {:.3}, {seconds:.3}s wall",
-                engine.virtual_elapsed_micros as f64 / 1e6,
-                outcome.learned.stats.membership_queries,
-                engine.occupancy(),
+                con.occupancy(run.max_inflight),
+                con.window_occupancy(run.max_inflight),
+                run.wall_seconds,
             ),
         );
     }
     report
         .row(
-            "construction pool-window occupancy (dataflow, must be ≥ 0.9)",
+            "dataflow 1×64: construction pool-window occupancy (≥ 0.9)",
             format!("{flow_window:.3}"),
         )
         .row(
-            "construction own occupancy (wavefront reference)",
-            format!("{wave_con_occ:.3}"),
+            "dataflow 1×64: virtual-time speedup vs wavefront / serial",
+            format!("{virtual_speedup_vs_wave:.2}x / {virtual_speedup_vs_serial:.2}x"),
         )
         .row(
-            "end-to-end speedup (virtual time vs wavefront / vs serial)",
-            format!("{speedup_vs_wave:.2}x / {speedup_vs_serial:.2}x"),
-        )
-        .row(
-            "speculation: submitted / used / discarded / unsent",
+            "dataflow 1×64: speculation submitted / used / discarded / unsent",
             format!(
                 "{} / {} / {} / {} (waste {:.1}%, {} rollbacks over {} suites)",
                 spec.words_submitted,
@@ -1827,53 +1311,38 @@ pub fn exp_dataflow_learner_with_events(
             ),
         )
         .row(
-            "models bit-identical, membership ≤ serial, eq tests identical",
+            "wavefront 1×64: construction speedup vs serial (≥ 4)",
+            format!("{construction_speedup:.2}x"),
+        )
+        .row(
+            "wavefront 1×16: construction occupancy (> 0.5)",
+            format!("{occupancy_at_16:.3}"),
+        )
+        .row(
+            "dataflow 1×64: throughput vs 1 / 4 blocking workers (≥ 40 / > 1)",
+            format!("{virtual_speedup_vs_blocking1:.2}x / {virtual_speedup_vs_blocking4:.2}x"),
+        )
+        .row(
+            "models bit-identical, fresh symbols and eq tests identical",
             true,
         )
         .finding(
             "per-word sift continuations plus speculative equivalence streaming keep \
              the session pool full through hypothesis construction; counterexamples \
              roll the speculative suite back to the serial runner's chunk boundary, \
-             so every statistic the blocking path reports is reproduced exactly",
+             so every statistic the blocking path reports is reproduced exactly — and \
+             under simulated RTT, throughput comes from in-flight sessions, not threads",
         );
 
-    let run_json = |outcome: &ParallelLearnOutcome, seconds: f64| {
-        let con = outcome.engine.phase(QueryPhase::Construction);
-        serde_json::Value::Map(vec![
-            ("seconds".to_string(), serde_json::Value::F64(seconds)),
-            (
-                "virtual_seconds".to_string(),
-                serde_json::Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
-            ),
-            (
-                "membership_queries".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.membership_queries),
-            ),
-            (
-                "fresh_symbols".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.fresh_symbols),
-            ),
-            (
-                "occupancy".to_string(),
-                serde_json::Value::F64(outcome.engine.occupancy()),
-            ),
-            ("construction".to_string(), phase_json(con, cap)),
-            (
-                "construction_window_occupancy".to_string(),
-                serde_json::Value::F64(con.window_occupancy(cap)),
-            ),
-            (
-                "equivalence".to_string(),
-                phase_json(outcome.engine.phase(QueryPhase::Equivalence), cap),
-            ),
-        ])
-    };
     let scenario = serde_json::Value::Map(vec![
-        ("workers".to_string(), serde_json::Value::U64(1)),
-        ("max_inflight".to_string(), serde_json::Value::U64(cap)),
-        ("dataflow".to_string(), run_json(&flow, flow_seconds)),
-        ("wavefront".to_string(), run_json(&wave, wave_seconds)),
-        ("serial".to_string(), run_json(&serial, serial_seconds)),
+        (
+            "runs".to_string(),
+            serde_json::Value::Map(
+                runs.iter()
+                    .map(|run| (run.name.to_string(), run.json()))
+                    .collect(),
+            ),
+        ),
         (
             "speculation".to_string(),
             serde_json::Value::Map(vec![
@@ -1905,12 +1374,24 @@ pub fn exp_dataflow_learner_with_events(
             ]),
         ),
         (
-            "speedup_vs_wavefront".to_string(),
-            serde_json::Value::F64(speedup_vs_wave),
+            "construction_virtual_speedup_wavefront_vs_serial".to_string(),
+            serde_json::Value::F64(construction_speedup),
         ),
         (
-            "speedup_vs_serial".to_string(),
-            serde_json::Value::F64(speedup_vs_serial),
+            "virtual_speedup_vs_wavefront".to_string(),
+            serde_json::Value::F64(virtual_speedup_vs_wave),
+        ),
+        (
+            "virtual_speedup_vs_serial".to_string(),
+            serde_json::Value::F64(virtual_speedup_vs_serial),
+        ),
+        (
+            "virtual_speedup_vs_blocking1".to_string(),
+            serde_json::Value::F64(virtual_speedup_vs_blocking1),
+        ),
+        (
+            "virtual_speedup_vs_blocking4".to_string(),
+            serde_json::Value::F64(virtual_speedup_vs_blocking4),
         ),
         (
             "models_bit_identical".to_string(),
@@ -2526,14 +2007,9 @@ fn store_bench_trie(
 /// warm-load halves, asserting the load replays a bit-identical trie.  A
 /// second, churned store (each word appended as a short prefix first,
 /// then extended) then demonstrates threshold compaction: `compact()` must
-/// shrink the file while replaying to the identical trie.
-pub fn exp_store_format(quick: bool) -> (Report, serde_json::Value) {
-    exp_store_format_with_events(quick, None)
-}
-
-/// [`exp_store_format`] with an optional event sink receiving
-/// `bench:stage` progress markers as each store backend is exercised.
-pub fn exp_store_format_with_events(
+/// shrink the file while replaying to the identical trie.  `events`
+/// receives a `bench:stage` progress marker per stage.
+pub fn exp_store_format(
     quick: bool,
     events: Option<Arc<dyn EventSink>>,
 ) -> (Report, serde_json::Value) {
@@ -2768,7 +2244,7 @@ fn process_cpu_seconds() -> f64 {
         .as_secs_f64()
 }
 
-/// E23 — event-sink overhead on the E17 session-engine scenario.
+/// E23 — event-sink overhead on E20's latency-modelled TCP scenario.
 ///
 /// Learns the latency-modelled TCP model at 1 worker × 64 in-flight
 /// dataflow sessions in paired rounds: once with no sink attached, once
@@ -2786,20 +2262,14 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
     use prognosis_events::analyze::scan_log;
     use prognosis_events::rotate::{rotated_indices, rotated_path, EventLog, EventLogConfig};
 
-    let step_rtt = SimDuration::from_micros(50);
-    let reset_rtt = SimDuration::from_micros(100);
-    let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
-    let config = LearnConfig {
-        seed: 7,
-        random_tests: if quick { 600 } else { 2_000 },
-        min_word_len: 2,
-        max_word_len: 10,
-        eq_batch_size: 512,
-        ..LearnConfig::default()
+    let (factory, mut config) = latency_tcp_scenario();
+    if quick {
+        config.random_tests = 600;
     }
-    .with_workers(1)
-    .with_max_inflight(64)
-    .with_sift(SiftStrategy::Dataflow);
+    let config = config
+        .with_workers(1)
+        .with_max_inflight(64)
+        .with_sift(SiftStrategy::Dataflow);
 
     // Timing methodology, tuned for a noisy shared host where a 5%
     // threshold must still resolve:
@@ -2939,7 +2409,7 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
     if !quick {
         assert!(
             overhead < 0.05,
-            "the event sink must cost < 5% of the E17-scenario run \
+            "the event sink must cost < 5% of the E20-scenario run \
              (best plain {plain_best:.3}s CPU, best logged {logged_best:.3}s CPU; \
              cleanest attempt's paired ratios {:?} → median {:.1}%)",
             best_overheads
@@ -2951,7 +2421,7 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
     }
 
     let mut report = Report::new(
-        "E23 — event-log sink overhead (E17 scenario, 1 worker × 64 dataflow sessions)",
+        "E23 — event-log sink overhead (E20 scenario, 1 worker × 64 dataflow sessions)",
     );
     report
         .row(
@@ -3025,24 +2495,46 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
     (report, scenario)
 }
 
+/// The bench ledger, relative to the directory an `exp_*` binary runs in.
+const LEDGER: &str = "BENCH_learning.json";
+
+/// Records `scenario` under `name` in `BENCH_learning.json` in the current
+/// directory, creating the file when there is none yet and keeping every
+/// other scenario it holds.  An existing file that cannot be read or does
+/// not parse as JSON is an error naming the file, and is left untouched
+/// rather than replaced by a document holding `name` alone.
+pub fn record_scenario(name: &str, scenario: serde_json::Value) -> Result<(), String> {
+    let existing = match std::fs::read_to_string(LEDGER) {
+        Ok(text) => Some(text),
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => None,
+        Err(err) => return Err(format!("cannot read {LEDGER}: {err}")),
+    };
+    let merged = merge_scenario(existing.as_deref(), name, scenario).map_err(|err| {
+        format!("{LEDGER} is not valid JSON ({err}); left it unchanged, {name} not recorded")
+    })?;
+    std::fs::write(LEDGER, merged).map_err(|err| format!("cannot write {LEDGER}: {err}"))?;
+    println!("recorded the {name} scenario in {LEDGER}");
+    Ok(())
+}
+
 /// Merges one named scenario into an existing `BENCH_learning.json`
-/// document (or builds a fresh one), returning the rendered file contents.
+/// document (or builds a fresh one), returning the rendered file contents,
+/// or the parse error when `existing` is not JSON.
 ///
 /// Every merge also re-scans the whole document for perf regressions: any
 /// object carrying a `speedup`/`speedup_*` number below 1.0 is flagged
 /// with `"regression": true`, and a stale flag is dropped once the number
 /// recovers — so the trajectory file itself says where parallelism is
 /// currently losing to sequential.
-pub fn merge_scenario(existing: Option<&str>, name: &str, scenario: serde_json::Value) -> String {
-    let mut document = existing
-        .and_then(|text| serde_json::from_str::<ValueDocIn>(text).ok())
-        .map(|doc| doc.0)
-        .unwrap_or_else(|| {
-            serde_json::Value::Map(vec![(
-                "experiment".to_string(),
-                serde_json::Value::Str("parallel_learning".to_string()),
-            )])
-        });
+fn merge_scenario(
+    existing: Option<&str>,
+    name: &str,
+    scenario: serde_json::Value,
+) -> Result<String, serde_json::Error> {
+    let mut document = match existing {
+        Some(text) => serde_json::from_str::<ValueDocIn>(text)?.0,
+        None => serde_json::Value::Map(Vec::new()),
+    };
     if let serde_json::Value::Map(fields) = &mut document {
         let scenarios = fields.iter_mut().find(|(k, _)| k == "scenarios");
         match scenarios {
@@ -3057,7 +2549,7 @@ pub fn merge_scenario(existing: Option<&str>, name: &str, scenario: serde_json::
         }
     }
     flag_regressions(&mut document);
-    serde_json::to_string_pretty(&ValueDoc(document)).expect("render BENCH json")
+    serde_json::to_string_pretty(&ValueDoc(document))
 }
 
 /// Walks a JSON tree and maintains the `"regression"` markers described on
@@ -3099,15 +2591,6 @@ fn flag_regressions(value: &mut serde_json::Value) {
     }
 }
 
-/// Merges the E17 scenario into an existing `BENCH_learning.json` document
-/// (or builds a fresh one), returning the rendered file contents.
-pub fn merge_session_engine_scenario(
-    existing: Option<&str>,
-    scenario: serde_json::Value,
-) -> String {
-    merge_scenario(existing, "session_engine", scenario)
-}
-
 /// Wrapper making a pre-built JSON value serializable through the shim.
 struct ValueDoc(serde_json::Value);
 
@@ -3123,5 +2606,89 @@ struct ValueDocIn(serde_json::Value);
 impl<'de> serde::Deserialize<'de> for ValueDocIn {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         deserializer.into_value().map(ValueDocIn)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A ledger built by merging `entries` (scenario name, string value)
+    /// in order, starting from no file.
+    fn ledger(entries: &[(&str, &str)]) -> String {
+        let mut text = None;
+        for &(name, value) in entries {
+            let scenario = serde_json::Value::Str(value.to_string());
+            text = Some(merge_scenario(text.as_deref(), name, scenario).expect("ledger parses"));
+        }
+        text.expect("at least one entry")
+    }
+
+    /// The `(name, value)` scenarios of a rendered ledger, in order.
+    fn scenarios(ledger: &str) -> Vec<(String, String)> {
+        let document = serde_json::from_str::<ValueDocIn>(ledger)
+            .expect("a merged ledger parses")
+            .0;
+        let serde_json::Value::Map(fields) = document else {
+            panic!("a ledger is a JSON object");
+        };
+        let Some((_, serde_json::Value::Map(scenarios))) =
+            fields.into_iter().find(|(key, _)| key == "scenarios")
+        else {
+            panic!("a ledger holds a scenarios object");
+        };
+        scenarios
+            .into_iter()
+            .map(|(name, value)| match value {
+                serde_json::Value::Str(value) => (name, value),
+                other => panic!("scenario {name} changed to {other:?}"),
+            })
+            .collect()
+    }
+
+    fn named(entries: &[(&str, &str)]) -> Vec<(String, String)> {
+        entries
+            .iter()
+            .map(|&(name, value)| (name.to_string(), value.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn a_fresh_ledger_holds_only_its_scenarios() {
+        let text = ledger(&[("a", "1")]);
+        assert_eq!(scenarios(&text), named(&[("a", "1")]));
+        assert!(!text.contains("experiment"), "{text}");
+    }
+
+    #[test]
+    fn merging_replaces_a_same_named_scenario_and_keeps_the_others() {
+        let text = ledger(&[("a", "1"), ("b", "2"), ("a", "3")]);
+        assert_eq!(scenarios(&text), named(&[("b", "2"), ("a", "3")]));
+    }
+
+    #[test]
+    fn merging_appends_a_new_scenario() {
+        let text = ledger(&[("a", "1"), ("b", "2"), ("c", "3")]);
+        assert_eq!(
+            scenarios(&text),
+            named(&[("a", "1"), ("b", "2"), ("c", "3")])
+        );
+    }
+
+    #[test]
+    fn an_unparsable_ledger_is_an_error() {
+        let text = ledger(&[("a", "1"), ("b", "2")]);
+        let truncated = &text[..text.len() - 10];
+        let scenario = serde_json::Value::Str("3".to_string());
+        assert!(merge_scenario(Some(truncated), "c", scenario).is_err());
+    }
+
+    #[test]
+    fn experiment_harness_reports_are_well_formed() {
+        // The exp_* binaries print these reports; the cheapest experiment
+        // must produce a non-empty one and a plausible model.
+        let (report, learned) = exp_tcp_learning();
+        assert!(report.to_string().contains("E1"));
+        assert!(learned.model.num_states() >= 4);
     }
 }

@@ -7,8 +7,10 @@
 
 use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig, LearnedModel};
+use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul, QuicSulFactory};
 use prognosis_core::session::SimDuration;
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
+use prognosis_quic_sim::profile::ImplementationProfile;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -75,6 +77,56 @@ proptest! {
         prop_assert_eq!(outcome.stats.equivalence_tests, baseline.stats.equivalence_tests);
         prop_assert_eq!(outcome.stats.membership_queries, baseline.stats.membership_queries);
         prop_assert_eq!(outcome.stats.counterexamples, baseline.stats.counterexamples);
+    }
+}
+
+// QUIC behind a modelled round trip: blocking workers and multiplexed
+// sessions both reproduce the sequential learn on the bare simulator.
+#[test]
+fn latency_modelled_quic_learns_the_sequential_model_at_every_shape() {
+    let config = LearnConfig {
+        seed: 7,
+        random_tests: 600,
+        min_word_len: 2,
+        max_word_len: 10,
+        eq_batch_size: 512,
+        ..LearnConfig::default()
+    };
+    let baseline = learn_model(
+        &mut QuicSul::new(ImplementationProfile::google(), 3),
+        &quic_data_alphabet(),
+        config.clone(),
+    );
+    let factory = LatencySulFactory::new(
+        QuicSulFactory::new(ImplementationProfile::google(), 3),
+        SimDuration::from_micros(50),
+        SimDuration::from_micros(100),
+    );
+    for (workers, max_inflight) in [(4, 1), (1, 64)] {
+        let outcome = learn_model_parallel(
+            &factory,
+            &quic_data_alphabet(),
+            config
+                .clone()
+                .with_workers(workers)
+                .with_max_inflight(max_inflight),
+        )
+        .expect("parallel learning succeeds");
+        let shape = format!("{workers} x {max_inflight}");
+        let (learned, reference) = (&outcome.learned.stats, &baseline.stats);
+        assert_eq!(outcome.learned.model, baseline.model, "{shape}: model");
+        assert_eq!(
+            learned.membership_queries, reference.membership_queries,
+            "{shape}: membership queries"
+        );
+        assert_eq!(
+            learned.fresh_symbols, reference.fresh_symbols,
+            "{shape}: fresh symbols"
+        );
+        assert_eq!(
+            learned.equivalence_tests, reference.equivalence_tests,
+            "{shape}: equivalence tests"
+        );
     }
 }
 

@@ -171,29 +171,3 @@ fn issue4_constant_zero_is_visible_in_the_oracle_table() {
         "Issue 4: the field is always the constant 0"
     );
 }
-
-#[test]
-fn experiment_harness_reports_are_well_formed() {
-    // The exp_* binaries share this library code; make sure the cheap ones
-    // produce non-empty reports so CI catches regressions in the harness.
-    let (report, learned) = prognosis_bench_smoke::tcp();
-    assert!(report.contains("E1"));
-    assert!(learned >= 4);
-}
-
-/// Minimal smoke-test shim around the bench library (kept out of the bench
-/// crate so `cargo test --workspace` exercises it without Criterion).
-mod prognosis_bench_smoke {
-    use super::*;
-
-    pub fn tcp() -> (String, usize) {
-        let mut sul = TcpSul::with_defaults();
-        let learned = learn_model(&mut sul, &tcp_alphabet(), config(300, 8));
-        let report = format!(
-            "E1 — TCP model learning: {} states, {} membership queries",
-            learned.model.num_states(),
-            learned.stats.membership_queries
-        );
-        (report, learned.model.num_states())
-    }
-}
